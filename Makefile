@@ -2,7 +2,7 @@
 # must pass. Formatting is checked only when ocamlformat is installed
 # (the CI format job is advisory too).
 
-.PHONY: all build test fmt lint analyze verify attribute check bench bench-json bench-quick bench-gate clean
+.PHONY: all build test fmt lint analyze verify attribute check bench bench-json bench-quick bench-gate bench-smoke clean
 
 all: build
 
@@ -62,6 +62,17 @@ bench-quick:
 GATE_BASELINE ?= BENCH_PR9.json
 bench-gate:
 	dune exec bench/main.exe -- --gate $(GATE_BASELINE)
+
+# Benchmark smoke: a short traced pass of every soarbench workload. The
+# output checks (chunk sets, derivations, alert counts, parallel-vs-serial
+# conflict set) must hold: the last JSON line needs correct = true and
+# failed = 0.
+bench-smoke:
+	python3 soarbench/run.py --workload all --seed 1 --seconds 2 --trace 1 | python3 -c \
+	  'import json, sys; lines = sys.stdin.read().splitlines(); print("\n".join(lines)); \
+	   r = json.loads(lines[-1]) if lines and lines[-1].startswith("{") else {}; \
+	   ok = r.get("correct") is True and r.get("failed") == 0; \
+	   print("bench-smoke:", "ok" if ok else "FAILED"); sys.exit(0 if ok else 1)'
 
 clean:
 	dune clean

@@ -210,17 +210,14 @@ let bench_alpha_wide =
      let w = block_wme ~name:"n63" ~color:"c" ~state:"live" ~timetag:1 () in
      Staged.stage (fun () -> ignore (Runtime.seed_wme_change net Task.Add w)))
 
-(* --- match kernel: compiled node programs vs the interpreter ------------ *)
+(* --- match kernel --------------------------------------------------------- *)
 
-(* Each pair builds the same one-production network twice — once with
-   [config.compiled] on (closure-compiled node programs, the PSM-E
-   machine-code analogue) and once off (the interpreter oracle) — and
-   measures the same activation against a populated opposite memory.
-   The fixture funnels 128 residents into ONE hash bucket (shared join
-   key) with a 4-test chain (1 eq + 3 residuals), so the measured cost
-   is the per-candidate test loop the compiler specializes: the staged
-   predicate extracts the activation-fixed fields once, where the
-   interpreter re-walks the test list per candidate. *)
+(* Each kernel builds a one-production network and measures one
+   activation against a populated opposite memory. The fixture funnels
+   128 residents into ONE hash bucket (shared join key) with a 4-test
+   chain (1 eq + 3 residuals), so the measured cost is the
+   per-candidate test loop. Row names keep the "(interpreted)" suffix
+   so they line up with the committed BENCH_*.json baselines. *)
 
 let kernel_join_prod =
   {|(p kjoin (block ^name <x> ^color <c> ^on <o> ^state <s>)
@@ -232,12 +229,10 @@ let kernel_neg_prod =
            -(block ^on <x> ^name <> <o> ^color <> <c> ^state <> <s>)
            --> (write n))|}
 
-let kernel_fixture ~compiled ~src ~kindp =
+let kernel_fixture ~src ~kindp =
   let schema = fixture_schema () in
   let net =
-    Network.create
-      ~config:{ Network.default_config with Network.lines = 16; compiled }
-      schema
+    Network.create ~config:{ Network.default_config with Network.lines = 16 } schema
   in
   ignore (Build.add_all net (Parser.productions schema src));
   let node =
@@ -248,21 +243,19 @@ let kernel_fixture ~compiled ~src ~kindp =
   in
   (net, Option.get node)
 
-let kernel_variant compiled = if compiled then "compiled" else "interpreted"
-
 (* Token-side activation: the left token arrives, the right memory holds
    the residents. All 4 tests pass for every candidate (join emits 128
    children; neg counts 128 blockers and emits none — the pure scan). *)
-let bench_kernel_left ~compiled ~neg =
+let bench_kernel_left ~neg =
   let base = if neg then "kernel: neg-left 4-test scan" else "kernel: join-left 4-test scan" in
-  Test.make ~name:(Printf.sprintf "%s (%s)" base (kernel_variant compiled))
+  Test.make ~name:(base ^ " (interpreted)")
     (let src = if neg then kernel_neg_prod else kernel_join_prod in
      let kindp = function
        | Network.Join _ -> not neg
        | Network.Neg _ -> neg
        | _ -> false
      in
-     let net, node = kernel_fixture ~compiled ~src ~kindp in
+     let net, node = kernel_fixture ~src ~kindp in
      let nid = node.Network.id in
      let resident = 128 in
      let () =
@@ -285,13 +278,11 @@ let bench_kernel_left ~compiled ~neg =
 (* Miss scan: every candidate evaluates the full four-test chain (the
    last residual fails) and nothing is emitted, so the measured cost is
    the per-candidate test-evaluation kernel alone — no token-extension
-   or task-allocation tail shared with the interpreter. *)
-let bench_kernel_miss ~compiled =
-  Test.make
-    ~name:
-      (Printf.sprintf "kernel: join-left 4-test miss scan (%s)" (kernel_variant compiled))
+   or task-allocation tail. *)
+let bench_kernel_miss =
+  Test.make ~name:"kernel: join-left 4-test miss scan (interpreted)"
     (let kindp = function Network.Join _ -> true | _ -> false in
-     let net, node = kernel_fixture ~compiled ~src:kernel_join_prod ~kindp in
+     let net, node = kernel_fixture ~src:kernel_join_prod ~kindp in
      let nid = node.Network.id in
      let () =
        for i = 1 to 128 do
@@ -311,11 +302,10 @@ let bench_kernel_miss ~compiled =
 
 (* Wme-side activation: the right wme arrives, the left memory holds 128
    resident tokens in the same bucket. *)
-let bench_kernel_right ~compiled =
-  Test.make
-    ~name:(Printf.sprintf "kernel: join-right 4-test scan (%s)" (kernel_variant compiled))
+let bench_kernel_right =
+  Test.make ~name:"kernel: join-right 4-test scan (interpreted)"
     (let kindp = function Network.Join _ -> true | _ -> false in
-     let net, node = kernel_fixture ~compiled ~src:kernel_join_prod ~kindp in
+     let net, node = kernel_fixture ~src:kernel_join_prod ~kindp in
      let nid = node.Network.id in
      let resident = 128 in
      let () =
@@ -338,14 +328,6 @@ let bench_kernel_right ~compiled =
          let w = block_wme ~on:"kb" ~name:"rn" ~color:"rc" ~state:"rs" ~timetag:!tag () in
          ignore (Runtime.exec net (Task.Right { node = nid; flag = Task.Add; wme = w }));
          ignore (Runtime.exec net (Task.Right { node = nid; flag = Task.Delete; wme = w }))))
-
-let kernel_pairs =
-  [
-    "kernel: join-left 4-test scan";
-    "kernel: join-left 4-test miss scan";
-    "kernel: neg-left 4-test scan";
-    "kernel: join-right 4-test scan";
-  ]
 
 let bench_trace_emit =
   (* the per-event cost tracing adds to an engine's hot loop *)
@@ -374,14 +356,10 @@ let micro_benchmarks () =
     bench_memory_ops;
     bench_alpha;
     bench_alpha_wide;
-    bench_kernel_left ~compiled:true ~neg:false;
-    bench_kernel_left ~compiled:false ~neg:false;
-    bench_kernel_left ~compiled:true ~neg:true;
-    bench_kernel_left ~compiled:false ~neg:true;
-    bench_kernel_miss ~compiled:true;
-    bench_kernel_miss ~compiled:false;
-    bench_kernel_right ~compiled:true;
-    bench_kernel_right ~compiled:false;
+    bench_kernel_left ~neg:false;
+    bench_kernel_left ~neg:true;
+    bench_kernel_miss;
+    bench_kernel_right;
     bench_trace_emit;
     bench_metrics_incr;
   ]
@@ -481,11 +459,10 @@ let attribution_series ~procs_axis workloads =
         procs_axis)
     workloads
 
-(* --- end-to-end cycles/sec: compiled vs interpreted ---------------------- *)
+(* --- end-to-end cycles/sec ------------------------------------------------- *)
 
 type e2e_result = {
   e2e_workload : string;
-  e2e_variant : string;  (* "compiled" | "interpreted" *)
   e2e_decisions : int;
   e2e_cycles : int;      (* elaboration cycles *)
   e2e_wall_ns : int;
@@ -493,16 +470,15 @@ type e2e_result = {
 }
 
 (* Full learning run on the real serial engine: chunks built mid-run are
-   compiled and spliced into the jumptable, so the compiled variant
-   measures the §5.1 story end to end. Best of [reps] wall times. *)
-let e2e_run ?(reps = 3) (w : Psme_workloads.Workload.t) ~compiled =
+   spliced into the network (§5.1), so the run measures that story end
+   to end. Best of [reps] wall times. *)
+let e2e_run ?(reps = 3) (w : Psme_workloads.Workload.t) =
   let open Psme_soar in
   let config =
     {
       Agent.default_config with
       Agent.learning = true;
       engine_mode = Psme_engine.Engine.Serial_mode;
-      net_config = { Network.default_config with Network.compiled };
     }
   in
   let best = ref max_int in
@@ -519,17 +495,13 @@ let e2e_run ?(reps = 3) (w : Psme_workloads.Workload.t) ~compiled =
   done;
   {
     e2e_workload = w.Psme_workloads.Workload.name;
-    e2e_variant = kernel_variant compiled;
     e2e_decisions = !decisions;
     e2e_cycles = !cycles;
     e2e_wall_ns = !best;
     e2e_cps = float_of_int !cycles /. (float_of_int !best /. 1e9);
   }
 
-let e2e_series ~reps workloads =
-  List.concat_map
-    (fun w -> [ e2e_run ~reps w ~compiled:true; e2e_run ~reps w ~compiled:false ])
-    workloads
+let e2e_series ~reps workloads = List.map (e2e_run ~reps) workloads
 
 (* --- machine-readable output -------------------------------------------- *)
 
@@ -573,7 +545,8 @@ let json_doc ~mode ~micro ~speedups ~e2e ~telemetry ~attribution =
                Obj
                  [
                    ("workload", Str r.e2e_workload);
-                   ("variant", Str r.e2e_variant);
+                   (* the row key the committed baselines gate on *)
+                   ("variant", Str "interpreted");
                    ("decisions", Int r.e2e_decisions);
                    ("elab_cycles", Int r.e2e_cycles);
                    ("wall_ns", Int r.e2e_wall_ns);
@@ -649,43 +622,17 @@ let write_json path doc =
   output_string oc "\n";
   close_out oc
 
-(* --- compiled-vs-interpreted advisory check ------------------------------ *)
-
-(* CI's fail-soft bench-regression gate: compare each kernel pair and
-   emit a GitHub warning annotation (not a failure) when the compiled
-   program is not faster than the interpreter. *)
-let check_compiled micro =
-  let find name =
-    match List.assoc_opt name micro with Some (Some e) -> Some e | _ -> None
-  in
-  List.iter
-    (fun base ->
-      match (find (base ^ " (compiled)"), find (base ^ " (interpreted)")) with
-      | Some c, Some i when c < i ->
-        Format.printf "compiled-check: %-32s ok  %8.0f vs %8.0f ns/run (%.2fx)@."
-          base c i (i /. c)
-      | Some c, Some i ->
-        Format.printf
-          "::warning title=bench regression::%s: compiled %.0f ns/run is not \
-           faster than interpreted %.0f ns/run@."
-          base c i
-      | _ ->
-        Format.printf "::warning title=bench regression::%s: missing estimates@."
-          base)
-    kernel_pairs
-
 (* --- driver -------------------------------------------------------------- *)
 
 let usage () =
   prerr_endline
-    "usage: main.exe [--quick] [--check-compiled] [--json FILE]\n\
+    "usage: main.exe [--quick] [--json FILE]\n\
     \       [--gate BASELINE.json] [--gate-tolerance X] [--gate-handicap X]";
   exit 2
 
 let () =
   let quick = ref false in
   let json_path = ref None in
-  let check = ref false in
   let gate = ref None in
   let gate_tolerance = ref Psme_harness.Perf_gate.default_tolerance in
   let gate_handicap = ref 0. in
@@ -700,9 +647,6 @@ let () =
     | [] -> ()
     | "--quick" :: rest ->
       quick := true;
-      parse rest
-    | "--check-compiled" :: rest ->
-      check := true;
       parse rest
     | "--json" :: path :: rest ->
       json_path := Some path;
@@ -736,10 +680,6 @@ let () =
       | Some e -> Format.printf "%-48s %12.0f ns/run@." name e
       | None -> Format.printf "%-48s (no estimate)@." name)
     micro;
-  if !check then begin
-    Format.printf "@.== compiled vs interpreted (kernel) ==@.";
-    check_compiled micro
-  end;
   Psme_obs.Telemetry.reset Psme_obs.Telemetry.global;
   let e2e =
     let workloads =
@@ -751,8 +691,8 @@ let () =
     let rs = e2e_series ~reps workloads in
     List.iter
       (fun r ->
-        Format.printf "%-14s %-12s %5d decisions %6d cycles %8.3f s  %9.0f cyc/s@."
-          r.e2e_workload r.e2e_variant r.e2e_decisions r.e2e_cycles
+        Format.printf "%-14s %5d decisions %6d cycles %8.3f s  %9.0f cyc/s@."
+          r.e2e_workload r.e2e_decisions r.e2e_cycles
           (float_of_int r.e2e_wall_ns /. 1e9)
           r.e2e_cps)
       rs;

@@ -207,23 +207,21 @@ let network_cmd_impl task bilinear chunks_too =
     in
     Format.printf "CEs compiled      %d (sharing saves %d two-input nodes)@." total_ces
       (max 0 (total_ces - Network.two_input_node_count net));
-    let cr = Codesize.compiled_report net in
-    Format.printf "node programs     %d compiled (%d closures, %d heap words)@."
-      cr.Codesize.cp_programs cr.Codesize.cp_closures cr.Codesize.cp_words;
+    Format.printf "code bytes        %d (Table 5-1 byte model)@."
+      (Codesize.sharing_report net).Codesize.sh_bytes;
     if chunks_too then begin
-      (* Growth as learning adds productions: each chunk's compiled
-         closures, spliced into the jumptable at run time (§5.1). *)
-      Format.printf "@.%-40s %9s %9s %9s@." "production" "programs" "closures" "words";
+      (* Growth as learning adds productions: the byte model of the
+         nodes each production's addition created — chunks spliced in
+         at run time (§5.1) included. *)
+      Format.printf "@.%-40s %9s@." "production" "bytes";
       List.iter
         (fun pm ->
-          let c = Codesize.compiled_of_production net pm in
           let name = pm.Network.meta_production.Production.name in
           let chunk =
             if List.exists (Sym.equal name) chunk_names then " [chunk]" else ""
           in
-          Format.printf "%-40s %9d %9d %9d@."
-            (Sym.name name ^ chunk)
-            c.Codesize.cp_programs c.Codesize.cp_closures c.Codesize.cp_words)
+          Format.printf "%-40s %9d@." (Sym.name name ^ chunk)
+            (Codesize.bytes_of_production net pm))
         (Network.productions net)
     end;
     0
@@ -235,8 +233,9 @@ let network_cmd =
       value & flag
       & info [ "with-chunks" ]
           ~doc:
-            "Run the task with learning first and include the chunks' compiled \
-             node programs (code-size growth under learning).")
+            "Run the task with learning first and list every production's \
+             generated-code bytes, chunks included (code-size growth under \
+             learning).")
   in
   Cmd.v (Cmd.info "network" ~doc)
     Term.(const network_cmd_impl $ task_arg $ bilinear_arg $ chunks)

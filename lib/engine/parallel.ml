@@ -63,6 +63,10 @@ let run_tasks ?(cost = Cost.default) ?tracer config net seed =
   let nproc = max 1 config.processes in
   let task_h = Array.init nproc (fun _ -> Loghist.create ()) in
   let dwell_h = Array.init nproc (fun _ -> Loghist.create ()) in
+  (* Per-worker minor words: [Gc.minor_words] counts only the calling
+     domain, so each worker reads its own delta and the caller credits
+     the sum to its open telemetry phase after the join. *)
+  let words = Array.make nproc 0 in
   (* Seeding happens before the workers spawn, so pushing into a
      worker's deque from here cannot race its owner. *)
   let seed_push qi item =
@@ -178,7 +182,9 @@ let run_tasks ?(cost = Cost.default) ?tracer config net seed =
         loop ()
       end
     in
-    loop ()
+    let w0 = Gc.minor_words () in
+    loop ();
+    words.(me) <- int_of_float (Gc.minor_words () -. w0)
   in
   let domains =
     List.init (max 1 config.processes) (fun i -> Domain.spawn (worker i))
@@ -188,6 +194,7 @@ let run_tasks ?(cost = Cost.default) ?tracer config net seed =
   (* fold per-worker histograms and queue contention into the global
      telemetry; workers are joined, so the reads are exact *)
   let tm = Telemetry.global in
+  Telemetry.add_minor_words tm (Array.fold_left ( + ) 0 words);
   Array.iter (fun h -> Loghist.merge_into ~into:(Telemetry.task_hist tm) h) task_h;
   Array.iter (fun h -> Loghist.merge_into ~into:(Telemetry.dwell_hist tm) h) dwell_h;
   (match queues with

@@ -273,6 +273,14 @@ let with_phase t phase f =
   phase_begin t phase;
   Fun.protect ~finally:(fun () -> phase_end t phase) f
 
+(* Moving the open frame's baseline back by [n] makes its end read
+   [n] more words, and nesting then charges them like the frame's own. *)
+let add_minor_words t n =
+  if t.depth > 0 then begin
+    let f = t.frames.(t.depth - 1) in
+    f.f_minor0 <- f.f_minor0 - n
+  end
+
 (* --- record paths ------------------------------------------------------- *)
 
 let record_cycle_ns t ns =

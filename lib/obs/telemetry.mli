@@ -58,6 +58,13 @@ val phase_end : t -> phase -> unit
 val with_phase : t -> phase -> (unit -> 'a) -> 'a
 (** Bracketed {!phase_begin}/{!phase_end}; the end runs on exceptions. *)
 
+val add_minor_words : t -> int -> unit
+(** Charge [n] minor words allocated on {e other} domains to the
+    innermost open section. [Gc.minor_words] counts only the calling
+    domain, so an engine that runs match work on worker domains reports
+    each worker's delta here after joining it. No-op when no section is
+    open. *)
+
 (** {2 Record paths — allocation-free} *)
 
 val record_cycle_ns : t -> int -> unit

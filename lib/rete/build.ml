@@ -574,12 +574,6 @@ let add_production net prod =
   in
   Hashtbl.replace net.Network.prods name meta;
   net.Network.prod_order_rev <- name :: net.Network.prod_order_rev;
-  (* Compile node programs for the newly created nodes and splice them
-     into the jumptable (§5.1) — run-time additions (chunks) execute
-     compiled without rebuilding anything. Shared nodes keep their
-     existing programs; the programs read the successor arrays through
-     the node records, so fan-out patches are picked up for free. *)
-  Program.compile_new net (Vec.to_list created);
   { meta; first_new_id; new_beta_nodes = Vec.to_list created }
 
 let add_all net prods = List.map (add_production net) prods
@@ -612,7 +606,6 @@ let excise_production net name =
             match find_partner n.Network.id with
             | Some partner ->
               Hashtbl.remove net.Network.beta partner.Network.id;
-              Program.clear_node net partner.Network.id;
               Memory.drop_node net.Network.mem ~node:partner.Network.id;
               (match partner.Network.parent with
               | Some p ->
@@ -622,7 +615,6 @@ let excise_production net name =
             | None -> ())
           | _ -> ());
           Hashtbl.remove net.Network.beta id;
-          Program.clear_node net id;
           Memory.drop_node net.Network.mem ~node:id;
           (match n.Network.alpha_src with
           | Some _ -> Alpha.remove_successor net.Network.alpha ~node:id

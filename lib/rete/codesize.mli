@@ -12,16 +12,16 @@
 
 val bytes_of_node : Network.t -> Network.node -> int
 
-val open_coded : bool ref
-(** When set to [false], uses the paper's closed-coded estimate
-    (procedure calls instead of inline expansion). Default [true]. *)
-
 val bytes_of_addition : Network.t -> Build.add_result -> int
 (** Bytes of code generated when this production was added: the sum over
     the nodes the addition actually created (shared nodes cost nothing,
     which is exactly why shared compilation is smaller and faster).
     Nodes the addition created but a later excise removed contribute
     nothing. *)
+
+val bytes_of_production : Network.t -> Network.pmeta -> int
+(** {!bytes_of_addition} for a production already in the network (the
+    nodes recorded in its [created_nodes]). *)
 
 (** {2 Sharing accounting}
 
@@ -45,23 +45,3 @@ val sharing_report : Network.t -> sharing
 val bytes_per_two_input_node : Network.t -> Build.add_result -> float
 (** Average over the two-input nodes created by the addition; [nan] if
     it created none. *)
-
-(** {2 Compiled node programs}
-
-    What the closure compiler ({!Program}) actually installed — the
-    paper's code-size-vs-learning measurement applied to the compiled
-    path. All zero when the network runs interpreted. *)
-
-type compiled_report = {
-  cp_programs : int;  (** nodes with an installed program *)
-  cp_closures : int;  (** closures those programs compiled to *)
-  cp_words : int;     (** modeled heap words of those closures *)
-}
-
-val compiled_report : Network.t -> compiled_report
-(** Totals over every live node of the network. *)
-
-val compiled_of_production : Network.t -> Network.pmeta -> compiled_report
-(** Programs of the nodes this production's addition created (shared
-    nodes are charged to the production that created them, mirroring
-    {!bytes_of_addition}). *)

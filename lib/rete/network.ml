@@ -47,9 +47,9 @@ type node = {
   alpha_src : int option;
   (* successor fan-out in registration order, kept as an immutable array
      that is replaced wholesale when the wiring changes (build/update
-     time only): activation emit indexes it without allocating, and a
-     compiled node program can keep reading the field after a run-time
-     addition patches the fan-out (§5.1). *)
+     time only): activation emit indexes it without allocating and
+     without a lock, even while a run-time addition patches the fan-out
+     (§5.1). *)
   mutable succs : (int * port) array;
 }
 
@@ -60,20 +60,12 @@ type config = {
   bilinear_group : int;
   bilinear_min_ces : int;
   lines : int;
-  compiled : bool;
   reorder_joins : bool;
 }
 
 let default_config =
   { share = true; bilinear = false; bilinear_ctx = 3; bilinear_group = 3;
-    bilinear_min_ces = 8; lines = 512; compiled = true; reorder_joins = false }
-
-(* The jumptable of compiled node programs. The concrete constructor is
-   added by [Program] (which sits above this module); keeping the type
-   extensible here lets the network carry its dispatch table without a
-   dependency cycle. *)
-type jumptable = ..
-type jumptable += Jt_none
+    bilinear_min_ces = 8; lines = 512; reorder_joins = false }
 
 type pmeta = {
   pnode : int;
@@ -93,7 +85,6 @@ type t = {
   prods : (Sym.t, pmeta) Hashtbl.t;
   mutable prod_order_rev : Sym.t list;
   share_index : (int * int, int list) Hashtbl.t;
-  mutable jumptable : jumptable;
 }
 
 let create ?(config = default_config) schema =
@@ -115,7 +106,6 @@ let create ?(config = default_config) schema =
     prods = Hashtbl.create 64;
     prod_order_rev = [];
     share_index = Hashtbl.create 256;
-    jumptable = Jt_none;
   }
 
 let next_id t = !(t.counter)
@@ -173,19 +163,28 @@ let mix acc v = (acc * 31) + Value.hash v land max_int
 
 let id_seed id = (id * 0x9e3779b1) land max_int
 
+(* The hash folds and test loops below run on every activation and
+   every scanned candidate, so they recurse directly instead of passing
+   closures to [List] iterators: a closure over the token or wme would
+   be allocated per call. *)
+
+let rec right_key w acc = function
+  | [] -> acc
+  | jt :: rest -> right_key w (mix acc (Wme.field w jt.r_fld)) rest
+
+let rec left_key tok acc = function
+  | [] -> acc
+  | jt :: rest -> left_key tok (mix acc (Token.field tok ~slot:jt.l_slot ~fld:jt.l_fld)) rest
+
 let khash_right n w =
   match n.kind with
-  | Join ti | Neg ti ->
-    List.fold_left (fun acc jt -> mix acc (Wme.field w jt.r_fld)) (id_seed n.id) ti.eq
+  | Join ti | Neg ti -> right_key w (id_seed n.id) ti.eq
   | Entry | Ncc _ | Ncc_partner _ | Bjoin _ | Pnode _ ->
     invalid_arg "khash_right: not a wme-joining node"
 
 let khash_left n tok =
   match n.kind with
-  | Join ti | Neg ti ->
-    List.fold_left
-      (fun acc jt -> mix acc (Token.field tok ~slot:jt.l_slot ~fld:jt.l_fld))
-      (id_seed n.id) ti.eq
+  | Join ti | Neg ti -> left_key tok (id_seed n.id) ti.eq
   | Entry | Ncc _ | Ncc_partner _ | Bjoin _ | Pnode _ ->
     invalid_arg "khash_left: not a wme-joining node"
 
@@ -216,14 +215,18 @@ let btest_right_hash acc tok = function
     (acc * 31) + (Token.wme tok b_slot).Wme.timetag land max_int
   | B_fields _ -> acc
 
+let rec bkey step tok acc = function
+  | [] -> acc
+  | bt :: rest -> bkey step tok (step acc tok bt) rest
+
 let khash_bjoin_left n tok =
   match n.kind with
-  | Bjoin b -> List.fold_left (fun acc bt -> btest_left_hash acc tok bt) (id_seed n.id) b.b_eq
+  | Bjoin b -> bkey btest_left_hash tok (id_seed n.id) b.b_eq
   | _ -> invalid_arg "khash_bjoin_left"
 
 let khash_bjoin_right n tok =
   match n.kind with
-  | Bjoin b -> List.fold_left (fun acc bt -> btest_right_hash acc tok bt) (id_seed n.id) b.b_eq
+  | Bjoin b -> bkey btest_right_hash tok (id_seed n.id) b.b_eq
   | _ -> invalid_arg "khash_bjoin_right"
 
 (* --- test evaluation ---------------------------------------------- *)
@@ -233,8 +236,11 @@ let jtest_holds tok w jt =
     (Token.field tok ~slot:jt.l_slot ~fld:jt.l_fld)
     (Wme.field w jt.r_fld)
 
-let jtests_hold ti tok w =
-  List.for_all (jtest_holds tok w) ti.eq && List.for_all (jtest_holds tok w) ti.others
+let rec jtests_all tok w = function
+  | [] -> true
+  | jt :: rest -> jtest_holds tok w jt && jtests_all tok w rest
+
+let jtests_hold ti tok w = jtests_all tok w ti.eq && jtests_all tok w ti.others
 
 let btest_holds a b = function
   | B_fields { a_slot; a_fld; rel; b_slot; b_fld } ->
@@ -243,8 +249,11 @@ let btest_holds a b = function
       (Token.field b ~slot:b_slot ~fld:b_fld)
   | B_same_wme { a_slot; b_slot } -> Wme.equal (Token.wme a a_slot) (Token.wme b b_slot)
 
-let btests_hold bi a b =
-  List.for_all (btest_holds a b) bi.b_eq && List.for_all (btest_holds a b) bi.b_others
+let rec btests_all a b = function
+  | [] -> true
+  | bt :: rest -> btest_holds a b bt && btests_all a b rest
+
+let btests_hold bi a b = btests_all a b bi.b_eq && btests_all a b bi.b_others
 
 (* --- instantiation bindings ---------------------------------------- *)
 

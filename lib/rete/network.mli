@@ -63,8 +63,7 @@ type node = {
   mutable succs : (int * port) array;
       (** successor fan-out in registration order; replaced wholesale
           (never mutated in place) when run-time addition patches the
-          wiring, so activation emit and compiled node programs read it
-          without locking *)
+          wiring, so activation emit reads it without locking *)
 }
 
 type config = {
@@ -74,10 +73,6 @@ type config = {
   bilinear_group : int;  (** CEs per group *)
   bilinear_min_ces : int;  (** only restructure productions at least this long *)
   lines : int;           (** hash lines in the global memories *)
-  compiled : bool;
-      (** execute activations through closure-compiled node programs
-          (the PSM-E machine-code analogue, §4/§5.1); the interpreter
-          remains available as the oracle when [false] *)
   reorder_joins : bool;
       (** place positive CEs in the order {!Jcost.suggest} predicts is
           cheapest (negations after all positives); the P-node's slot
@@ -86,13 +81,6 @@ type config = {
 }
 
 val default_config : config
-
-type jumptable = ..
-(** Dispatch table of compiled node programs, indexed by node ID. The
-    concrete constructor lives in [Program]; the network only carries
-    the slot (see {!Program.table}). *)
-
-type jumptable += Jt_none
 
 type pmeta = {
   pnode : int;
@@ -115,7 +103,6 @@ type t = {
       (** (parent id, spec hash) -> candidate child ids; the compiler's
           O(1) share-point lookup (the builder still verifies specs
           structurally, so stale or colliding entries are harmless) *)
-  mutable jumptable : jumptable;
 }
 
 val create : ?config:config -> Schema.t -> t
@@ -152,12 +139,6 @@ val beta_node_count : t -> int
 val two_input_node_count : t -> int
 
 (** {2 Hash keys and test evaluation} *)
-
-val mix : int -> Value.t -> int
-(** One step of the khash fold. Exported so {!Program}'s specialized
-    khash closures compute bit-identical keys to the interpreter's. *)
-
-val id_seed : int -> int
 
 val khash_right : node -> Wme.t -> int
 val khash_left : node -> Token.t -> int

@@ -1,18 +1,14 @@
 open Psme_ops5
 open Network
 
-(* The canonical access/outcome definitions moved to [Program] (the
-   compiled path); re-exported here with type equations so engines and
-   analyses keep reading [o.Runtime.children] etc. unchanged. *)
-
-type access = Program.access = {
+type access = {
   acc_node : int;
   acc_line : int;
   acc_write : bool;
   acc_locked : bool;
 }
 
-type outcome = Program.outcome = {
+type outcome = {
   children : Task.t array;
   scanned : int;
   matched : int;
@@ -20,21 +16,84 @@ type outcome = Program.outcome = {
   accesses : access list;
 }
 
-let no_children = Program.no_children
+let no_children =
+  { children = [||]; scanned = 0; matched = 0; insts = []; accesses = [] }
 
-(* Fault-injection hook, shared with the compiled path (lives in
-   [Program] so both execution paths elide the same lock). *)
-let set_lock_elision = Program.set_lock_elision
-let lock_elision = Program.lock_elision
+(* Fault-injection hook for the race detector's self-test: when set, exec
+   sections run WITHOUT taking the line lock (and report their accesses as
+   unlocked). Never enable outside analysis tests. *)
+let elide = ref false
+let set_lock_elision b = elide := b
+let lock_elision () = !elide
 
-let with_line net ~line f = Program.with_line net.mem ~line f
-let access = Program.access
+let with_line net ~line f = if !elide then f () else Memory.locked net.mem ~line f
 
-(* Fan-out through the node's precomputed successor array; shared with
-   the compiled path so both emit in identical order (tokens in list
-   order, successors in registration order). *)
-let emit = Program.emit
-let emit_all = Program.emit_all
+let access ~node ~line =
+  { acc_node = node; acc_line = line; acc_write = true; acc_locked = not !elide }
+
+(* --- fan-out ---------------------------------------------------------- *)
+
+(* Fan-out through the node's precomputed successor array, in
+   registration order; only the task records are allocated. *)
+
+let task_to flag token (sid, port) =
+  match port with
+  | P_left -> Task.Left { node = sid; flag; token }
+  | P_right -> Task.Rtok { node = sid; flag; token }
+
+let emit n flag token = Array.map (task_to flag token) n.succs
+
+(* Negative-node transitions carry their own flag per token. *)
+let emit_transitions n transitions =
+  let succs = n.succs in
+  let ns = Array.length succs in
+  match transitions with
+  | [] -> [||]
+  | (f0, t0) :: _ when ns > 0 ->
+    let k = List.length transitions in
+    let out = Array.make (k * ns) (task_to f0 t0 succs.(0)) in
+    List.iteri
+      (fun ti (fl, tok) ->
+        for si = 0 to ns - 1 do
+          out.((ti * ns) + si) <- task_to fl tok succs.(si)
+        done)
+      transitions;
+    out
+  | _ :: _ -> [||]
+
+(* Fused extend+emit for join scans: the [k] matched operands arrive as
+   a list in REVERSE scan order (one cons per match — an empty scan
+   allocates nothing); rows are filled back-to-front so each extended
+   token, in scan order, fans to every successor in registration order,
+   without materializing the token list. Token extension is skipped
+   entirely when the node has no successors (extension is pure, so
+   nothing observable is lost). *)
+let emit_extended n flag ~extend rev_ms k =
+  let succs = n.succs in
+  let ns = Array.length succs in
+  if k = 0 || ns = 0 then [||]
+  else begin
+    let rec fill out ti = function
+      | [] -> out
+      | m :: rest ->
+        let tok = extend m in
+        let row = ti * ns in
+        for si = 0 to ns - 1 do
+          out.(row + si) <- task_to flag tok succs.(si)
+        done;
+        fill out (ti - 1) rest
+    in
+    match rev_ms with
+    | [] -> [||]
+    | last :: rest ->
+      let tok = extend last in
+      let out = Array.make (k * ns) (task_to flag tok succs.(0)) in
+      let row = (k - 1) * ns in
+      for si = 1 to ns - 1 do
+        out.(row + si) <- task_to flag tok succs.(si)
+      done;
+      fill out (k - 2) rest
+  end
 
 (* --- entry ---------------------------------------------------------- *)
 
@@ -61,6 +120,7 @@ let exec_join_left net n ti (flag : Task.flag) token =
   let line = Memory.line_of net.mem ~khash:kh in
   let acc = access ~node:n.id ~line in
   let matches = ref [] in
+  let nm = ref 0 in
   let scanned = ref 0 in
   let live =
     with_line net ~line (fun () ->
@@ -79,21 +139,25 @@ let exec_join_left net n ti (flag : Task.flag) token =
           scanned :=
             Memory.right_iter net.mem ~node:n.id ~khash:kh (fun payload ->
                 match payload with
-                | Memory.R_wme w -> if jtests_hold ti token w then matches := w :: !matches
+                | Memory.R_wme w ->
+                  if jtests_hold ti token w then begin
+                    matches := w :: !matches;
+                    incr nm
+                  end
                 | Memory.R_tok _ -> ());
         live)
   in
   if not live then { no_children with accesses = [ acc ] }
   else
-    let tokens = List.rev_map (fun w -> Token.extend token w) !matches in
-    { children = emit_all n flag tokens; scanned = !scanned; matched = List.length tokens;
-      insts = []; accesses = [ acc ] }
+    { children = emit_extended n flag ~extend:(fun w -> Token.extend token w) !matches !nm;
+      scanned = !scanned; matched = !nm; insts = []; accesses = [ acc ] }
 
 let exec_join_right net n ti (flag : Task.flag) w =
   let kh = khash_right n w in
   let line = Memory.line_of net.mem ~khash:kh in
   let acc = access ~node:n.id ~line in
   let matches = ref [] in
+  let nm = ref 0 in
   let scanned = ref 0 in
   let live =
     with_line net ~line (fun () ->
@@ -105,14 +169,16 @@ let exec_join_right net n ti (flag : Task.flag) w =
         if live then
           scanned :=
             Memory.left_iter net.mem ~node:n.id ~khash:kh (fun e ->
-                if jtests_hold ti e.Memory.l_token w then matches := e.Memory.l_token :: !matches);
+                if jtests_hold ti e.Memory.l_token w then begin
+                  matches := e.Memory.l_token :: !matches;
+                  incr nm
+                end);
         live)
   in
   if not live then { no_children with accesses = [ acc ] }
   else
-    let tokens = List.rev_map (fun tok -> Token.extend tok w) !matches in
-    { children = emit_all n flag tokens; scanned = !scanned; matched = List.length tokens;
-      insts = []; accesses = [ acc ] }
+    { children = emit_extended n flag ~extend:(fun tok -> Token.extend tok w) !matches !nm;
+      scanned = !scanned; matched = !nm; insts = []; accesses = [ acc ] }
 
 (* --- negative ------------------------------------------------------- *)
 
@@ -170,13 +236,12 @@ let exec_neg_right net n ti (flag : Task.flag) w =
                     transitions := (Task.Add, e.Memory.l_token) :: !transitions
                 end));
   let transitions = List.rev !transitions in
-  { children = Program.emit_transitions n transitions; scanned = !scanned;
+  { children = emit_transitions n transitions; scanned = !scanned;
     matched = List.length transitions; insts = []; accesses = [ acc ] }
 
 (* --- NCC ------------------------------------------------------------- *)
 
-let exec_ncc_left net n prefix_len (flag : Task.flag) token =
-  ignore prefix_len;
+let exec_ncc_left net n (flag : Task.flag) token =
   let kh = khash_ncc_left n token in
   let line = Memory.line_of net.mem ~khash:kh in
   let acc = access ~node:n.id ~line in
@@ -233,7 +298,7 @@ let exec_ncc_partner net n ~ncc ~prefix_len (flag : Task.flag) subtok =
                     transitions := (Task.Add, e.Memory.l_token) :: !transitions
                 end));
   let transitions = List.rev !transitions in
-  { children = Program.emit_transitions ncc_node transitions; scanned = !scanned;
+  { children = emit_transitions ncc_node transitions; scanned = !scanned;
     matched = List.length transitions; insts = []; accesses = [ acc ] }
 
 (* --- binary join (bilinear networks) --------------------------------- *)
@@ -243,6 +308,7 @@ let exec_bjoin_left net n bi (flag : Task.flag) token =
   let line = Memory.line_of net.mem ~khash:kh in
   let acc = access ~node:n.id ~line in
   let matches = ref [] in
+  let nm = ref 0 in
   let scanned = ref 0 in
   let live =
     with_line net ~line (fun () ->
@@ -261,23 +327,27 @@ let exec_bjoin_left net n bi (flag : Task.flag) token =
           scanned :=
             Memory.right_iter net.mem ~node:n.id ~khash:kh (fun payload ->
                 match payload with
-                | Memory.R_tok rt -> if btests_hold bi token rt then matches := rt :: !matches
+                | Memory.R_tok rt ->
+                  if btests_hold bi token rt then begin
+                    matches := rt :: !matches;
+                    incr nm
+                  end
                 | Memory.R_wme _ -> ());
         live)
   in
   if not live then { no_children with accesses = [ acc ] }
   else
-    let tokens =
-      List.rev_map (fun rt -> Token.concat token (Token.suffix rt bi.right_drop)) !matches
-    in
-    { children = emit_all n flag tokens; scanned = !scanned; matched = List.length tokens;
-      insts = []; accesses = [ acc ] }
+    { children =
+        emit_extended n flag !matches !nm
+          ~extend:(fun rt -> Token.concat token (Token.suffix rt bi.right_drop));
+      scanned = !scanned; matched = !nm; insts = []; accesses = [ acc ] }
 
 let exec_bjoin_right net n bi (flag : Task.flag) rtok =
   let kh = khash_bjoin_right n rtok in
   let line = Memory.line_of net.mem ~khash:kh in
   let acc = access ~node:n.id ~line in
   let matches = ref [] in
+  let nm = ref 0 in
   let scanned = ref 0 in
   let live =
     with_line net ~line (fun () ->
@@ -289,17 +359,18 @@ let exec_bjoin_right net n bi (flag : Task.flag) rtok =
         if live then
           scanned :=
             Memory.left_iter net.mem ~node:n.id ~khash:kh (fun e ->
-                if btests_hold bi e.Memory.l_token rtok then
-                  matches := e.Memory.l_token :: !matches);
+                if btests_hold bi e.Memory.l_token rtok then begin
+                  matches := e.Memory.l_token :: !matches;
+                  incr nm
+                end);
         live)
   in
   if not live then { no_children with accesses = [ acc ] }
   else
-    let tokens =
-      List.rev_map (fun lt -> Token.concat lt (Token.suffix rtok bi.right_drop)) !matches
-    in
-    { children = emit_all n flag tokens; scanned = !scanned; matched = List.length tokens;
-      insts = []; accesses = [ acc ] }
+    { children =
+        emit_extended n flag !matches !nm
+          ~extend:(fun lt -> Token.concat lt (Token.suffix rtok bi.right_drop));
+      scanned = !scanned; matched = !nm; insts = []; accesses = [ acc ] }
 
 (* --- P-node ----------------------------------------------------------- *)
 
@@ -346,7 +417,7 @@ let exec_dispatch net task =
       match n.kind with
       | Join ti -> exec_join_left net n ti flag token
       | Neg ti -> exec_neg_left net n ti flag token
-      | Ncc { prefix_len } -> exec_ncc_left net n prefix_len flag token
+      | Ncc _ -> exec_ncc_left net n flag token
       | Bjoin bi -> exec_bjoin_left net n bi flag token
       | Pnode pi -> exec_pnode net n pi flag token
       | Entry | Ncc_partner _ ->
@@ -361,22 +432,7 @@ let exec_dispatch net task =
       | Entry | Join _ | Neg _ | Ncc _ | Pnode _ ->
         invalid_arg "Runtime.exec: right token delivered to a non-binary node"))
 
-(* The jumptable dispatch (§5.1): a compiled program, when installed,
-   handles the task; never-compiled or excised nodes fall back to the
-   interpreter (whose beta lookup also absorbs tasks queued to excised
-   nodes). *)
 let exec net task =
-  let o =
-    match Program.find net (Task.node task) with
-    | Some p -> Program.run p task
-    | None -> exec_dispatch net task
-  in
-  Psme_obs.Metrics.incr m_tasks;
-  Psme_obs.Metrics.add m_scanned o.scanned;
-  Psme_obs.Metrics.add m_children (Array.length o.children);
-  o
-
-let exec_interpreted net task =
   let o = exec_dispatch net task in
   Psme_obs.Metrics.incr m_tasks;
   Psme_obs.Metrics.add m_scanned o.scanned;

@@ -8,14 +8,14 @@
     {!Memory}). Thread-safe: any number of match processes may call
     [exec] concurrently.
 
-    Two execution paths produce bit-identical outcomes: the closure
-    compiler ({!Program}, the PSM-E machine-code analogue, selected by
-    [Network.config.compiled]) and the interpreter below, retained as
-    the differential oracle. *)
+    One interpreter executes every node kind. PSM-E compiled each node
+    to machine code (§4), but what the paper measures — run-time chunk
+    addition (§5.1/§5.2) and match parallelism — does not depend on
+    that; DESIGN §4b gives the measurements behind the choice. *)
 
 open Psme_ops5
 
-type access = Program.access = {
+type access = {
   acc_node : int;   (** beta node owning the memory entries touched *)
   acc_line : int;   (** hash line (lock granule, §6.1) *)
   acc_write : bool; (** every exec section mutates (insert-then-probe) *)
@@ -25,7 +25,7 @@ type access = Program.access = {
     Engines forward these to the trace as [Mem_access] events; the race
     detector replays them against the happens-before order. *)
 
-type outcome = Program.outcome = {
+type outcome = {
   children : Task.t array;
       (** successor tasks, in emission order (tokens in production
           order, successors in registration order) *)
@@ -40,18 +40,13 @@ type outcome = Program.outcome = {
 }
 
 val exec : Network.t -> Task.t -> outcome
-(** Dispatches through the compiled node program when one is installed
-    (the §5.1 jumptable), falling back to the interpreter otherwise. *)
-
-val exec_interpreted : Network.t -> Task.t -> outcome
-(** Force the interpreter path regardless of installed programs — the
-    oracle side of differential tests. *)
+(** Runs one activation. A task addressed to a node excised while it
+    was queued is a no-op. *)
 
 val set_lock_elision : bool -> unit
 (** Fault injection for the race detector's self-test: when enabled, exec
     critical sections skip the line lock and report their accesses with
-    [acc_locked = false]. Process-wide; reset to [false] after use.
-    Shared with the compiled path. *)
+    [acc_locked = false]. Process-wide; reset to [false] after use. *)
 
 val lock_elision : unit -> bool
 

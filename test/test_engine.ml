@@ -207,6 +207,32 @@ let test_engine_facade_history () =
   Engine.reset_history eng;
   Alcotest.(check int) "reset" 0 (List.length (Engine.history eng))
 
+(* [Gc.minor_words] counts only the calling domain, so telemetry must
+   be handed the workers' allocation explicitly: over a P=2 match phase
+   its match words must cover (nearly) the whole-program minor words,
+   which [Gc.quick_stat] sums over every domain once a minor collection
+   has published the counters. *)
+let test_parallel_words_reach_telemetry () =
+  let open Psme_obs in
+  let schema, net = fresh () in
+  let cfg = { Parallel.processes = 2; queues = Parallel.Multiple_queues } in
+  let batches = random_batches schema ~seed:5 ~n:200 in
+  let key = "telemetry.phase.match.minor_words" in
+  let match_words () = List.assoc key (Telemetry.snapshot_kv Telemetry.global) in
+  let m0 = match_words () in
+  Gc.minor ();
+  let q0 = Gc.quick_stat () in
+  Telemetry.with_phase Telemetry.global Telemetry.Match (fun () ->
+      ignore (Parallel.run_changes cfg net [ (Task.Add, hand_wme schema) ]);
+      List.iter (fun b -> ignore (Parallel.run_changes cfg net b)) batches);
+  Gc.minor ();
+  let q1 = Gc.quick_stat () in
+  let seen = match_words () -. m0 in
+  let total = q1.Gc.minor_words -. q0.Gc.minor_words in
+  if seen < 0.9 *. total then
+    Alcotest.failf "telemetry saw %.0f of %.0f minor words (%.2f)" seen total
+      (seen /. total)
+
 let suite =
   [
     Alcotest.test_case "parallel engines match serial" `Quick test_parallel_matches_serial;
@@ -221,4 +247,6 @@ let suite =
     Alcotest.test_case "serial stats consistency" `Quick test_serial_stats_consistency;
     Alcotest.test_case "cost model band" `Quick test_cost_model_band;
     Alcotest.test_case "engine facade history" `Quick test_engine_facade_history;
+    Alcotest.test_case "parallel words reach telemetry" `Quick
+      test_parallel_words_reach_telemetry;
   ]

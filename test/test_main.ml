@@ -14,7 +14,6 @@ let () =
       ("harness", Test_harness.suite);
       ("properties", Test_props.suite);
       ("perf-kernel", Test_perf_kernel.suite);
-      ("program", Test_program.suite);
       ("check", Test_check.suite);
       ("analyze", Test_analyze.suite);
     ]

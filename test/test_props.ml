@@ -14,7 +14,10 @@ let names = [ "a"; "b"; "c"; "d" ]
 
 (* A random production over the blocks schema: 1-3 positive CEs with a
    mix of constant, variable and predicate tests, optionally a negated
-   CE, RHS is a write. Always valid by construction. *)
+   CE, RHS is a write. The first CE binds <n> and <s>; later CEs and the
+   negation may test them with [<>] or [>], so the joins carry
+   non-equality residuals beside (or instead of) the [^on <x>] key.
+   Always valid by construction. *)
 let gen_production =
   let open QCheck.Gen in
   let gen_const_test =
@@ -25,6 +28,7 @@ let gen_production =
         map (fun i -> ("state", string_of_int i)) (int_bound 2);
       ]
   in
+  let gen_residual = oneofl [ ""; ""; "^state > <s>"; "^name <> <n>" ] in
   let ce_src ~var i =
     let* consts = list_size (int_bound 1) gen_const_test in
     let const_str =
@@ -35,12 +39,16 @@ let gen_production =
     let var_str =
       if with_var || i = 0 then Printf.sprintf "^on <%s>" var else ""
     in
-    return (Printf.sprintf "(block %s %s)" const_str var_str)
+    let* residual = if i = 0 then return "^name <n> ^state <s>" else gen_residual in
+    return (Printf.sprintf "(block %s %s %s)" const_str var_str residual)
   in
   let* n_ces = int_range 1 3 in
   let* ces = List.init n_ces (fun i -> ce_src ~var:"x" i) |> flatten_l in
   let* neg = bool in
-  let neg_src = if neg then "-(block ^on <x> ^color green)" else "" in
+  let* neg_residual = gen_residual in
+  let neg_src =
+    if neg then Printf.sprintf "-(block ^on <x> ^color green %s)" neg_residual else ""
+  in
   let* id = int_bound 10_000_000 in
   return
     (Printf.sprintf "(p rnd-%d %s %s --> (write ok))" id (String.concat " " ces)
