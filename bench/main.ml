@@ -257,6 +257,8 @@ let bench_kernel_left ~neg =
      in
      let net, node = kernel_fixture ~src ~kindp in
      let nid = node.Network.id in
+     let snode = Some node in
+     let o = Runtime.outcome () in
      let resident = 128 in
      let () =
        for i = 1 to resident do
@@ -266,14 +268,14 @@ let bench_kernel_left ~neg =
              ~state:(Printf.sprintf "s%d" i)
              ~timetag:i ()
          in
-         ignore (Runtime.exec net (Task.Right { node = nid; flag = Task.Add; wme = w }))
+         Runtime.exec net snode (Task.Right { node = nid; flag = Task.Add; wme = w }) o
        done
      in
      let lw = block_wme ~name:"kb" ~color:"lc" ~on:"lo" ~state:"ls" ~timetag:9001 () in
      let token = Token.singleton lw in
      Staged.stage (fun () ->
-         ignore (Runtime.exec net (Task.Left { node = nid; flag = Task.Add; token }));
-         ignore (Runtime.exec net (Task.Left { node = nid; flag = Task.Delete; token }))))
+         Runtime.exec net snode (Task.Left { node = nid; flag = Task.Add; token }) o;
+         Runtime.exec net snode (Task.Left { node = nid; flag = Task.Delete; token }) o))
 
 (* Miss scan: every candidate evaluates the full four-test chain (the
    last residual fails) and nothing is emitted, so the measured cost is
@@ -284,6 +286,8 @@ let bench_kernel_miss =
     (let kindp = function Network.Join _ -> true | _ -> false in
      let net, node = kernel_fixture ~src:kernel_join_prod ~kindp in
      let nid = node.Network.id in
+     let snode = Some node in
+     let o = Runtime.outcome () in
      let () =
        for i = 1 to 128 do
          let w =
@@ -291,14 +295,14 @@ let bench_kernel_miss =
              ~color:(Printf.sprintf "c%d" i)
              ~state:"ms" ~timetag:i ()
          in
-         ignore (Runtime.exec net (Task.Right { node = nid; flag = Task.Add; wme = w }))
+         Runtime.exec net snode (Task.Right { node = nid; flag = Task.Add; wme = w }) o
        done
      in
      let lw = block_wme ~name:"kb" ~color:"lc" ~on:"lo" ~state:"ms" ~timetag:9001 () in
      let token = Token.singleton lw in
      Staged.stage (fun () ->
-         ignore (Runtime.exec net (Task.Left { node = nid; flag = Task.Add; token }));
-         ignore (Runtime.exec net (Task.Left { node = nid; flag = Task.Delete; token }))))
+         Runtime.exec net snode (Task.Left { node = nid; flag = Task.Add; token }) o;
+         Runtime.exec net snode (Task.Left { node = nid; flag = Task.Delete; token }) o))
 
 (* Wme-side activation: the right wme arrives, the left memory holds 128
    resident tokens in the same bucket. *)
@@ -307,6 +311,8 @@ let bench_kernel_right =
     (let kindp = function Network.Join _ -> true | _ -> false in
      let net, node = kernel_fixture ~src:kernel_join_prod ~kindp in
      let nid = node.Network.id in
+     let snode = Some node in
+     let o = Runtime.outcome () in
      let resident = 128 in
      let () =
        for i = 1 to resident do
@@ -317,17 +323,17 @@ let bench_kernel_right =
              ~state:(Printf.sprintf "ls%d" i)
              ~timetag:(2000 + i) ()
          in
-         ignore
-           (Runtime.exec net
-              (Task.Left { node = nid; flag = Task.Add; token = Token.singleton lw }))
+         Runtime.exec net snode
+           (Task.Left { node = nid; flag = Task.Add; token = Token.singleton lw })
+           o
        done
      in
      let tag = ref 9000 in
      Staged.stage (fun () ->
          incr tag;
          let w = block_wme ~on:"kb" ~name:"rn" ~color:"rc" ~state:"rs" ~timetag:!tag () in
-         ignore (Runtime.exec net (Task.Right { node = nid; flag = Task.Add; wme = w }));
-         ignore (Runtime.exec net (Task.Right { node = nid; flag = Task.Delete; wme = w }))))
+         Runtime.exec net snode (Task.Right { node = nid; flag = Task.Add; wme = w }) o;
+         Runtime.exec net snode (Task.Right { node = nid; flag = Task.Delete; wme = w }) o))
 
 let bench_trace_emit =
   (* the per-event cost tracing adds to an engine's hot loop *)

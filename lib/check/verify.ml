@@ -128,13 +128,13 @@ let structure (net : Network.t) =
           if a >= n.id then
             err "id-order" (node_name n.id)
               (Printf.sprintf "alpha memory %d does not have a smaller id" a);
-          if not (List.mem n.id (Alpha.successors net.alpha ~amem:a)) then
+          if not (Array.mem n.id (Alpha.successors net.alpha ~amem:a)) then
             err "alpha-unregistered" (node_name n.id)
               (Printf.sprintf "not registered under its alpha memory %d" a)
         end);
   List.iter
     (fun a ->
-      List.iter
+      Array.iter
         (fun sid ->
           match node_opt net sid with
           | None ->

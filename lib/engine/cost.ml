@@ -34,13 +34,16 @@ let default =
     fire_us = 120.;
   }
 
-let task_cost p kind (o : Runtime.outcome) =
+let task_cost p (node : Network.node option) (o : Runtime.outcome) =
   let base =
-    match kind with
-    | Network.Entry -> p.entry_base_us
-    | Network.Pnode _ -> p.pnode_base_us
-    | Network.Join _ | Network.Neg _ | Network.Ncc _ | Network.Ncc_partner _
-    | Network.Bjoin _ -> p.two_input_base_us
+    match node with
+    | None -> 0.
+    | Some n -> (
+      match n.Network.kind with
+      | Network.Entry -> p.entry_base_us
+      | Network.Pnode _ -> p.pnode_base_us
+      | Network.Join _ | Network.Neg _ | Network.Ncc _ | Network.Ncc_partner _
+      | Network.Bjoin _ -> p.two_input_base_us)
   in
   base
   +. (p.per_scan_us *. float_of_int o.Runtime.scanned)

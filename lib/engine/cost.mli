@@ -25,5 +25,8 @@ type params = {
 
 val default : params
 
-val task_cost : params -> Psme_rete.Network.kind -> Psme_rete.Runtime.outcome -> float
-(** Cost in µs of one executed activation. *)
+val task_cost :
+  params -> Psme_rete.Network.node option -> Psme_rete.Runtime.outcome -> float
+(** Cost in µs of one executed activation, given the node it ran on (as
+    passed to {!Psme_rete.Runtime.exec}). A task for a node excised
+    while it was queued is a no-op and costs nothing. *)

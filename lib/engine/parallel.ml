@@ -87,6 +87,7 @@ let run_tasks ?(cost = Cost.default) ?tracer config net seed =
     seed;
   let worker me () =
     let my_q = me mod nq in
+    let o = Runtime.outcome () in
     (* probe queue (my_q + k) mod nq: own pop at k = 0, steal after *)
     let probe k =
       match queues with
@@ -138,7 +139,7 @@ let run_tasks ?(cost = Cost.default) ?tracer config net seed =
         | None -> Domain.cpu_relax ()
         | Some (id, parent, task) ->
           let node = Task.node task in
-          let kind = (Network.node net node).Network.kind in
+          let n = Network.node_opt net node in
           let start_us = now_us () in
           (match tracer with
           | Some tr ->
@@ -146,7 +147,7 @@ let run_tasks ?(cost = Cost.default) ?tracer config net seed =
               ~task:id ~parent ()
           | None -> ());
           let exec_t0 = Clock.now_ns () in
-          let o = Runtime.exec net task in
+          Runtime.exec net n task o;
           Loghist.add task_h.(me) (Clock.now_ns () - exec_t0);
           Atomic.incr tasks_done;
           ignore (Atomic.fetch_and_add scanned o.Runtime.scanned);
@@ -155,7 +156,7 @@ let run_tasks ?(cost = Cost.default) ?tracer config net seed =
           ignore (Atomic.fetch_and_add emitted nkids);
           ignore
             (Atomic.fetch_and_add serial_us_bits
-               (int_of_float (10. *. Cost.task_cost cost kind o)));
+               (int_of_float (10. *. Cost.task_cost cost n o)));
           ignore (Atomic.fetch_and_add outstanding nkids);
           (match tracer with
           | Some tr ->
@@ -166,7 +167,7 @@ let run_tasks ?(cost = Cost.default) ?tracer config net seed =
               ~dur_us:(Float.max 0.001 (end_us -. start_us))
               ~scanned:o.Runtime.scanned ~emitted:nkids ();
             Trace_emit.mem_accesses tr ~t_us:end_us ~proc:me ~task:id
-              o.Runtime.accesses
+              (Runtime.accesses o)
           | None -> ());
           Array.iter
             (fun k ->

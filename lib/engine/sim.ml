@@ -103,6 +103,8 @@ let run_tasks_gen ?(cost = Cost.default) ?tracer ?on_inst config net seed =
     | None -> ());
     t
   in
+  (* one exec buffer: the simulated processors run one task at a time *)
+  let o = Runtime.outcome () in
   let handle time = function
     | Inject { proc; parent; tasks } ->
       let q = queues.(my_queue proc) in
@@ -155,7 +157,7 @@ let run_tasks_gen ?(cost = Cost.default) ?tracer ?on_inst config net seed =
               (* dwell is virtual: pop time minus push time *)
               Telemetry.record_dwell_us Telemetry.global (t -. push_t);
               let node = Task.node task in
-              let kind = (Network.node net node).Network.kind in
+              let n = Network.node_opt net node in
               (match tracer with
               | Some tr ->
                 (if k = 0 then Trace.emit tr Trace.Queue_pop ~t_us:t ~proc ~task:id ()
@@ -168,12 +170,12 @@ let run_tasks_gen ?(cost = Cost.default) ?tracer ?on_inst config net seed =
                 Trace.emit tr Trace.Task_start ~t_us:t ~proc ~node ~task:id
                   ~parent ()
               | None -> ());
-              let o = Runtime.exec net task in
+              Runtime.exec net n task o;
               incr tasks_done;
               scanned := !scanned + o.Runtime.scanned;
               let nkids = Array.length o.Runtime.children in
               emitted := !emitted + nkids;
-              let c = Cost.task_cost cost kind o in
+              let c = Cost.task_cost cost n o in
               Telemetry.record_task_us Telemetry.global c;
               serial_us := !serial_us +. c;
               (match tracer with
@@ -182,7 +184,7 @@ let run_tasks_gen ?(cost = Cost.default) ?tracer ?on_inst config net seed =
                   ~task:id ~parent ~dur_us:c ~scanned:o.Runtime.scanned
                   ~emitted:nkids ();
                 Trace_emit.mem_accesses tr ~t_us:(t +. c) ~proc ~task:id
-                  o.Runtime.accesses
+                  (Runtime.accesses o)
               | None -> ());
               (* asynchronous elaboration: fire newly added
                  instantiations now; their wme changes are injected by

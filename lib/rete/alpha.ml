@@ -70,7 +70,9 @@ and level = {
 
 and amem = {
   mid : int;
-  mutable succs : int list;  (* reverse registration order *)
+  mutable succs : int array;
+      (* registration order; replaced wholesale when the wiring changes
+         (build/excise time only), so seeding walks it in place *)
 }
 
 type t = {
@@ -120,7 +122,7 @@ let get_root t cls =
     r
 
 let new_mem t =
-  let m = { mid = t.alloc_id (); succs = [] } in
+  let m = { mid = t.alloc_id (); succs = [||] } in
   Hashtbl.replace t.mems m.mid m;
   t.n_nodes <- t.n_nodes + 1;
   m
@@ -161,10 +163,14 @@ let add_chain t ~cls tests =
 
 let add_successor t ~amem ~node =
   let m = Hashtbl.find t.mems amem in
-  if not (List.mem node m.succs) then m.succs <- node :: m.succs
+  if not (Array.mem node m.succs) then m.succs <- Array.append m.succs [| node |]
 
 let remove_successor t ~node =
-  Hashtbl.iter (fun _ m -> m.succs <- List.filter (fun i -> i <> node) m.succs) t.mems
+  Hashtbl.iter
+    (fun _ m ->
+      if Array.mem node m.succs then
+        m.succs <- Array.of_list (List.filter (fun i -> i <> node) (Array.to_list m.succs)))
+    t.mems
 
 let matching_amems t w f =
   let count = ref 0 in
@@ -201,7 +207,7 @@ let matching_amems t w f =
   t.activations <- t.activations + !count;
   !count
 
-let successors t ~amem = List.rev (Hashtbl.find t.mems amem).succs
+let successors t ~amem = (Hashtbl.find t.mems amem).succs
 
 let amems t =
   Hashtbl.fold (fun id _ acc -> id :: acc) t.mems [] |> List.sort compare

@@ -60,8 +60,10 @@ val matching_amems : t -> Wme.t -> (int -> unit) -> int
     expanded node and memories are emitted in the same order as the
     undispatched depth-first walk. *)
 
-val successors : t -> amem:int -> int list
-(** Beta nodes fed by this alpha memory, in registration order. *)
+val successors : t -> amem:int -> int array
+(** Beta nodes fed by this alpha memory, in registration order. The
+    array is shared, not copied (seeding walks it on every wme change):
+    do not mutate it. *)
 
 val amems : t -> int list
 (** All alpha-memory ids, ascending (analysis hook). *)

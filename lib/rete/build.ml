@@ -152,7 +152,7 @@ let get_entry st amem =
   let net = st.net in
   let existing =
     if share_on net then
-      List.find_map
+      Array.find_map
         (fun id ->
           let n = Network.node net id in
           match n.Network.kind with Network.Entry -> Some n | _ -> None)

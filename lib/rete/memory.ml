@@ -76,23 +76,36 @@ let ivec_insert_sorted v x =
   in
   shift (Vec.length v - 1)
 
+(* The shared chain of a key with no entries. Never pushed to: every
+   insertion looks its chain up with [Hashtbl.find] and creates a fresh
+   one when the key is new. *)
+let no_chain : int Vec.t = Vec.create ()
+
 let idx_push idx key pos =
-  match Hashtbl.find_opt idx key with
-  | Some v -> Vec.push v pos (* pos is the line's new maximum: stays ascending *)
-  | None ->
-    let v = Vec.create () in
+  match Hashtbl.find idx key with
+  | v -> Vec.push v pos (* pos is the line's new maximum: stays ascending *)
+  | exception Not_found ->
+    (* most chains hold one entry (a join's right memory keys each wme
+       by its own test values): start at capacity 1, not Vec's default
+       8, so a one-entry chain takes 5 words instead of 12 *)
+    let v = Vec.make 1 in
     Vec.push v pos;
     Hashtbl.replace idx key v
 
 let idx_remove idx key pos =
-  match Hashtbl.find_opt idx key with
-  | None -> ()
-  | Some v ->
+  match Hashtbl.find idx key with
+  | exception Not_found -> ()
+  | v ->
     ivec_remove v pos;
     if Vec.is_empty v then Hashtbl.remove idx key
 
-let idx_find idx key =
-  match idx with None -> None | Some h -> Hashtbl.find_opt h key
+(* The ascending positions of a bucket's entries ([no_chain] when it has
+   none). [Hashtbl.find] rather than [find_opt]: probes run on every
+   activation and must not allocate. *)
+let chain idx key =
+  match idx with
+  | None -> no_chain
+  | Some h -> ( match Hashtbl.find h key with v -> v | exception Not_found -> no_chain)
 
 (* Mirror Vec.swap_remove in the index: the removed entry's position
    disappears, and the entry moved down from the end re-registers at its
@@ -102,13 +115,9 @@ let swap_remove_indexed vec oidx ~key_of i =
   let n = Vec.length vec in
   idx_remove idx (key_of (Vec.get vec i)) i;
   if i < n - 1 then begin
-    let moved_key = key_of (Vec.get vec (n - 1)) in
-    (match Hashtbl.find_opt idx moved_key with
-    | Some v ->
-      ivec_remove v (n - 1);
-      ivec_insert_sorted v i
-    | None -> assert false);
-    ()
+    let v = Hashtbl.find idx (key_of (Vec.get vec (n - 1))) in
+    ivec_remove v (n - 1);
+    ivec_insert_sorted v i
   end;
   Vec.swap_remove vec i
 
@@ -161,7 +170,7 @@ let create ?(lines = 512) () =
 let line_count t = Array.length t.lines
 let line_of t ~khash = khash land t.mask
 
-let locked t ~line f =
+let lock t ~line =
   let l = t.lines.(line) in
   let tm = Psme_obs.Telemetry.global in
   Psme_obs.Telemetry.incr_lock_acquired tm;
@@ -175,31 +184,42 @@ let locked t ~line f =
     done;
     Atomic.fetch_and_add t.spins !spun |> ignore;
     Psme_obs.Telemetry.add_lock_spins tm !spun
-  end;
-  Fun.protect ~finally:(fun () -> Mutex.unlock l.lock) f
+  end
+
+let unlock t ~line = Mutex.unlock t.lines.(line).lock
+
+let locked t ~line f =
+  lock t ~line;
+  match f () with
+  | v ->
+    unlock t ~line;
+    v
+  | exception e ->
+    let bt = Printexc.get_raw_backtrace () in
+    unlock t ~line;
+    Printexc.raise_with_backtrace e bt
 
 let touch_left t line =
   let l = t.lines.(line) in
   l.left_accesses <- l.left_accesses + 1;
   Atomic.incr t.left_total
 
-(* First matching entry in ascending line position — the same entry (and
-   the same scan outcome) the full line scan used to find. *)
+(* Position of the first matching entry in ascending line order (-1 if
+   none) — the same entry (and the same scan outcome) the full line scan
+   used to find. A loop over locals, so a probe allocates nothing. *)
 let find_left line ~node ~khash token =
-  match idx_find line.lidx (bkey ~node ~khash) with
-  | None -> None
-  | Some ps ->
-    let n = Vec.length ps in
-    let rec go j =
-      if j >= n then None
-      else
-        let i = Vec.get ps j in
-        let item = Vec.get line.left i in
-        if item.ln = node && item.lkh = khash && Token.equal item.entry.l_token token
-        then Some (i, item)
-        else go (j + 1)
-    in
-    go 0
+  let ps = chain line.lidx (bkey ~node ~khash) in
+  let n = Vec.length ps in
+  let found = ref (-1) in
+  let j = ref 0 in
+  while !found < 0 && !j < n do
+    let i = Vec.unsafe_get ps !j in
+    let item = Vec.unsafe_get line.left i in
+    if item.ln = node && item.lkh = khash && Token.equal item.entry.l_token token then
+      found := i;
+    incr j
+  done;
+  !found
 
 let left_push line ~node ~khash entry =
   Vec.push line.left { ln = node; lkh = khash; entry };
@@ -211,56 +231,72 @@ let left_add t ~node ~khash token ~count =
   let line = line_of t ~khash in
   touch_left t line;
   let l = t.lines.(line) in
-  match find_left l ~node ~khash token with
-  | Some (i, item) ->
-    item.entry.l_refs <- item.entry.l_refs + 1;
-    if item.entry.l_refs = 0 then begin
+  let i = find_left l ~node ~khash token in
+  if i >= 0 then begin
+    let entry = (Vec.unsafe_get l.left i).entry in
+    entry.l_refs <- entry.l_refs + 1;
+    if entry.l_refs = 0 then begin
       (* annihilated an early delete *)
       left_swap_remove l i;
       `Inert
     end
-    else if item.entry.l_refs = 1 then `Activated item.entry
+    else if entry.l_refs = 1 then `Activated entry
     else `Inert
-  | None ->
+  end
+  else begin
     let entry = { l_token = token; l_refs = 1; l_count = count } in
     left_push l ~node ~khash entry;
     `Activated entry
+  end
 
 let left_remove t ~node ~khash token =
   let line = line_of t ~khash in
   touch_left t line;
   let l = t.lines.(line) in
-  match find_left l ~node ~khash token with
-  | Some (i, item) ->
-    item.entry.l_refs <- item.entry.l_refs - 1;
-    if item.entry.l_refs = 0 then begin
+  let i = find_left l ~node ~khash token in
+  if i >= 0 then begin
+    let entry = (Vec.unsafe_get l.left i).entry in
+    entry.l_refs <- entry.l_refs - 1;
+    if entry.l_refs = 0 then begin
       left_swap_remove l i;
-      `Deactivated item.entry
+      `Deactivated entry
     end
     else `Inert
-  | None ->
+  end
+  else begin
     (* early delete: leave a tombstone for the add to annihilate *)
     left_push l ~node ~khash { l_token = token; l_refs = -1; l_count = 0 };
     `Inert
+  end
 
-let left_iter t ~node ~khash f =
+(* Index positions mirror swap_remove in lockstep, so they are always
+   < length under the line lock: the unsafe_gets below are in bounds.
+   The step function receives two environment values so callers can
+   pass a closed function and scan without allocating. *)
+let left_fold t ~node ~khash f a b init =
   let line = line_of t ~khash in
   touch_left t line;
   let l = t.lines.(line) in
-  (* the cost model charges for the whole line (the paper's hash-bucket
-     scan); only the bucket chain is actually walked *)
-  let scanned = Vec.length l.left in
-  (match idx_find l.lidx (bkey ~node ~khash) with
-  | None -> ()
-  | Some ps ->
-    (* index positions mirror swap_remove in lockstep, so they are
-       always < length under the line lock: unsafe_get is in-bounds *)
-    for j = 0 to Vec.length ps - 1 do
-      let item = Vec.unsafe_get l.left (Vec.unsafe_get ps j) in
-      if item.ln = node && item.lkh = khash && item.entry.l_refs >= 1 then
-        f item.entry
-    done);
-  scanned
+  let ps = chain l.lidx (bkey ~node ~khash) in
+  let acc = ref init in
+  for j = 0 to Vec.length ps - 1 do
+    let item = Vec.unsafe_get l.left (Vec.unsafe_get ps j) in
+    if item.ln = node && item.lkh = khash && item.entry.l_refs >= 1 then
+      acc := f a b !acc item.entry
+  done;
+  !acc
+
+(* the cost model charges for the whole line (the paper's hash-bucket
+   scan); only the bucket chain is actually walked *)
+let left_length t ~line = Vec.length t.lines.(line).left
+let right_length t ~line = Vec.length t.lines.(line).right
+
+(* [*_iter] as a fold: the callback rides in the first environment slot *)
+let apply_step f () () x = f x
+
+let left_iter t ~node ~khash f =
+  left_fold t ~node ~khash apply_step f () ();
+  left_length t ~line:(line_of t ~khash)
 
 let payload_equal a b =
   match a, b with
@@ -269,20 +305,18 @@ let payload_equal a b =
   | (R_wme _ | R_tok _), _ -> false
 
 let find_right line ~node ~khash payload =
-  match idx_find line.ridx (bkey ~node ~khash) with
-  | None -> None
-  | Some ps ->
-    let n = Vec.length ps in
-    let rec go j =
-      if j >= n then None
-      else
-        let i = Vec.get ps j in
-        let item = Vec.get line.right i in
-        if item.rn = node && item.rkh = khash && payload_equal item.payload payload
-        then Some (i, item)
-        else go (j + 1)
-    in
-    go 0
+  let ps = chain line.ridx (bkey ~node ~khash) in
+  let n = Vec.length ps in
+  let found = ref (-1) in
+  let j = ref 0 in
+  while !found < 0 && !j < n do
+    let i = Vec.unsafe_get ps !j in
+    let item = Vec.unsafe_get line.right i in
+    if item.rn = node && item.rkh = khash && payload_equal item.payload payload then
+      found := i;
+    incr j
+  done;
+  !found
 
 let right_push line ~node ~khash payload ~refs =
   Vec.push line.right { rn = node; rkh = khash; payload; r_refs = refs };
@@ -294,48 +328,56 @@ let right_add t ~node ~khash payload =
   let line = line_of t ~khash in
   Atomic.incr t.right_total;
   let l = t.lines.(line) in
-  match find_right l ~node ~khash payload with
-  | Some (i, item) ->
+  let i = find_right l ~node ~khash payload in
+  if i >= 0 then begin
+    let item = Vec.unsafe_get l.right i in
     item.r_refs <- item.r_refs + 1;
     if item.r_refs = 0 then begin
       right_swap_remove l i;
       false
     end
     else item.r_refs = 1
-  | None ->
+  end
+  else begin
     right_push l ~node ~khash payload ~refs:1;
     true
+  end
 
 let right_remove t ~node ~khash payload =
   let line = line_of t ~khash in
   Atomic.incr t.right_total;
   let l = t.lines.(line) in
-  match find_right l ~node ~khash payload with
-  | Some (i, item) ->
+  let i = find_right l ~node ~khash payload in
+  if i >= 0 then begin
+    let item = Vec.unsafe_get l.right i in
     item.r_refs <- item.r_refs - 1;
     if item.r_refs = 0 then begin
       right_swap_remove l i;
       true
     end
     else false
-  | None ->
+  end
+  else begin
     right_push l ~node ~khash payload ~refs:(-1);
     false
+  end
 
-let right_iter t ~node ~khash f =
+let right_fold t ~node ~khash f a b init =
   let line = line_of t ~khash in
   Atomic.incr t.right_total;
   let l = t.lines.(line) in
-  let scanned = Vec.length l.right in
-  (match idx_find l.ridx (bkey ~node ~khash) with
-  | None -> ()
-  | Some ps ->
-    (* same in-bounds argument as left_iter *)
-    for j = 0 to Vec.length ps - 1 do
-      let item = Vec.unsafe_get l.right (Vec.unsafe_get ps j) in
-      if item.rn = node && item.rkh = khash && item.r_refs >= 1 then f item.payload
-    done);
-  scanned
+  let ps = chain l.ridx (bkey ~node ~khash) in
+  let acc = ref init in
+  for j = 0 to Vec.length ps - 1 do
+    let item = Vec.unsafe_get l.right (Vec.unsafe_get ps j) in
+    if item.rn = node && item.rkh = khash && item.r_refs >= 1 then
+      acc := f a b !acc item.payload
+  done;
+  !acc
+
+let right_iter t ~node ~khash f =
+  right_fold t ~node ~khash apply_step f () ();
+  right_length t ~line:(line_of t ~khash)
 
 let drop_node t ~node =
   Array.iter

@@ -29,10 +29,13 @@
     the line. The index preserves line order (positions are visited
     ascending), so iteration yields the same entry sequence a full line
     scan would — the serial engine's schedule, and every derived
-    measurement, is unchanged. The [scanned] value reported by the
-    [*_iter] functions is still the {e line} population (the paper's
-    bucket-scan cost that the simulator charges), not the number of
-    entries physically visited. *)
+    measurement, is unchanged. The scan cost the simulator charges is
+    still the {e line} population ({!left_length}, {!right_length}: the
+    paper's bucket-scan cost), not the number of entries physically
+    visited.
+
+    Probes, folds and the lock pair allocate nothing: an activation that
+    adds no entry leaves no garbage here. *)
 
 open Psme_ops5
 
@@ -54,10 +57,20 @@ val create : ?lines:int -> unit -> t
 val line_count : t -> int
 val line_of : t -> khash:int -> int
 
+val lock : t -> line:int -> unit
+(** Take the line lock, spinning while another process holds it and
+    counting the spins (and the contended acquisition) into telemetry.
+    Allocation-free, so the match hot path takes its line lock through
+    this pair rather than {!locked}. Every [lock] must be paired with
+    exactly one {!unlock} of the same line on every path out of the
+    critical section, exceptions included. *)
+
+val unlock : t -> line:int -> unit
+
 val locked : t -> line:int -> (unit -> 'a) -> 'a
-(** Run a critical section holding the line lock, counting spins. All
-    functions below must be called inside [locked] on the entry's line
-    (they do not themselves lock). *)
+(** [lock], run the critical section, [unlock] — also when the section
+    raises. All functions below must be called with the entry's line
+    locked (they do not themselves lock). *)
 
 val left_add :
   t -> node:int -> khash:int -> Token.t -> count:int ->
@@ -72,17 +85,34 @@ val left_remove :
 (** [`Deactivated] when the count crossed to 0 (caller emits deletes);
     [`Inert] records an early delete (tombstone). *)
 
+val left_fold :
+  t -> node:int -> khash:int -> ('a -> 'b -> 'acc -> left_entry -> 'acc) -> 'a -> 'b -> 'acc -> 'acc
+(** [left_fold t ~node ~khash f a b init] folds [f a b] over the
+    {e active} (refs >= 1) entries of [node] in the bucket, in line
+    order. [a] and [b] carry what the step needs, so a caller passing a
+    closed function (one with no free variables) scans without
+    allocating. Only the [(node, khash)] chain is physically visited;
+    the simulator charges for the whole line ({!left_length}). *)
+
+val left_length : t -> line:int -> int
+(** Population of the line's left side: the comparison count the
+    simulator charges for a bucket scan. *)
+
 val left_iter : t -> node:int -> khash:int -> (left_entry -> unit) -> int
-(** Visit {e active} (refs >= 1) entries of [node] in the bucket, in
-    line order; returns the population of the line's left side (the
-    comparison count the simulator charges for a bucket scan), even
-    though only the [(node, khash)] chain is physically visited. *)
+(** {!left_fold} with a callback; returns {!left_length} of the
+    bucket's line. *)
 
 val right_add : t -> node:int -> khash:int -> right_payload -> bool
 (** True when the payload became active (probe and emit). *)
 
 val right_remove : t -> node:int -> khash:int -> right_payload -> bool
 (** True when the payload became inactive (probe and emit deletes). *)
+
+val right_fold :
+  t -> node:int -> khash:int -> ('a -> 'b -> 'acc -> right_payload -> 'acc) -> 'a -> 'b -> 'acc -> 'acc
+(** {!left_fold} over the bucket's active right entries. *)
+
+val right_length : t -> line:int -> int
 
 val right_iter : t -> node:int -> khash:int -> (right_payload -> unit) -> int
 

@@ -9,15 +9,22 @@ type access = {
 }
 
 type outcome = {
-  children : Task.t array;
-  scanned : int;
-  matched : int;
-  insts : (Task.flag * Conflict_set.inst) list;
-  accesses : access list;
+  mutable children : Task.t array;
+  mutable scanned : int;
+  mutable insts : (Task.flag * Conflict_set.inst) list;
+  mutable sec_node : int;
+  mutable sec_line : int;
+  mutable sec_locked : bool;
 }
 
-let no_children =
-  { children = [||]; scanned = 0; matched = 0; insts = []; accesses = [] }
+let outcome () =
+  { children = [||]; scanned = 0; insts = []; sec_node = -1; sec_line = 0; sec_locked = false }
+
+let accesses o =
+  if o.sec_node < 0 then []
+  else
+    [ { acc_node = o.sec_node; acc_line = o.sec_line; acc_write = true;
+        acc_locked = o.sec_locked } ]
 
 (* Fault-injection hook for the race detector's self-test: when set, exec
    sections run WITHOUT taking the line lock (and report their accesses as
@@ -26,355 +33,339 @@ let elide = ref false
 let set_lock_elision b = elide := b
 let lock_elision () = !elide
 
-let with_line net ~line f = if !elide then f () else Memory.locked net.mem ~line f
+(* Every exec section is bracketed by [enter]/[leave] and releases the
+   lock on the exceptional path too:
 
-let access ~node ~line =
-  { acc_node = node; acc_line = line; acc_write = true; acc_locked = not !elide }
+     match <section> with
+     | v -> leave net ~line locked; v
+     | exception e -> leave net ~line locked; raise e
+
+   Results the section computes besides its value go through local refs
+   that no closure captures, which the compiler turns into plain
+   variables: the bracket allocates nothing. *)
+let enter net ~line =
+  if !elide then false
+  else begin
+    Memory.lock net.mem ~line;
+    true
+  end
+
+let leave net ~line locked = if locked then Memory.unlock net.mem ~line
+
+(* Record a task whose single line-lock section touched [n]'s entries. *)
+let finish o n ~line ~locked children ~scanned =
+  o.children <- children;
+  o.scanned <- scanned;
+  o.insts <- [];
+  o.sec_node <- n.id;
+  o.sec_line <- line;
+  o.sec_locked <- locked
+
+(* Record a task that performed no line-lock section. *)
+let finish_unlocked o insts =
+  o.children <- [||];
+  o.scanned <- 0;
+  o.insts <- insts;
+  o.sec_node <- -1
+
+let right_change mem ~node ~khash (flag : Task.flag) payload =
+  match flag with
+  | Task.Add -> Memory.right_add mem ~node ~khash payload
+  | Task.Delete -> Memory.right_remove mem ~node ~khash payload
 
 (* --- fan-out ---------------------------------------------------------- *)
 
 (* Fan-out through the node's precomputed successor array, in
-   registration order; only the task records are allocated. *)
+   registration order; only the task records and the array holding them
+   are allocated. *)
 
 let task_to flag token (sid, port) =
   match port with
   | P_left -> Task.Left { node = sid; flag; token }
   | P_right -> Task.Rtok { node = sid; flag; token }
 
-let emit n flag token = Array.map (task_to flag token) n.succs
+(* Write one token's fan-out into [out] at [row]: a task per successor,
+   in registration order, from successor [from] on. Each emitter below
+   seeds its array with the first task of its last row, so that row
+   starts at 1 and no task is built twice. *)
+let fan_out out ~row ~from succs flag token =
+  for si = from to Array.length succs - 1 do
+    out.(row + si) <- task_to flag token succs.(si)
+  done
 
-(* Negative-node transitions carry their own flag per token. *)
-let emit_transitions n transitions =
+let emit n flag token =
   let succs = n.succs in
-  let ns = Array.length succs in
-  match transitions with
-  | [] -> [||]
-  | (f0, t0) :: _ when ns > 0 ->
-    let k = List.length transitions in
-    let out = Array.make (k * ns) (task_to f0 t0 succs.(0)) in
-    List.iteri
-      (fun ti (fl, tok) ->
-        for si = 0 to ns - 1 do
-          out.((ti * ns) + si) <- task_to fl tok succs.(si)
-        done)
-      transitions;
-    out
-  | _ :: _ -> [||]
-
-(* Fused extend+emit for join scans: the [k] matched operands arrive as
-   a list in REVERSE scan order (one cons per match — an empty scan
-   allocates nothing); rows are filled back-to-front so each extended
-   token, in scan order, fans to every successor in registration order,
-   without materializing the token list. Token extension is skipped
-   entirely when the node has no successors (extension is pure, so
-   nothing observable is lost). *)
-let emit_extended n flag ~extend rev_ms k =
-  let succs = n.succs in
-  let ns = Array.length succs in
-  if k = 0 || ns = 0 then [||]
+  if Array.length succs = 0 then [||]
   else begin
-    let rec fill out ti = function
-      | [] -> out
-      | m :: rest ->
-        let tok = extend m in
-        let row = ti * ns in
-        for si = 0 to ns - 1 do
-          out.(row + si) <- task_to flag tok succs.(si)
-        done;
-        fill out (ti - 1) rest
-    in
-    match rev_ms with
-    | [] -> [||]
-    | last :: rest ->
-      let tok = extend last in
-      let out = Array.make (k * ns) (task_to flag tok succs.(0)) in
-      let row = (k - 1) * ns in
-      for si = 1 to ns - 1 do
-        out.(row + si) <- task_to flag tok succs.(si)
-      done;
-      fill out (k - 2) rest
+    let out = Array.make (Array.length succs) (task_to flag token succs.(0)) in
+    fan_out out ~row:0 ~from:1 succs flag token;
+    out
   end
 
-(* --- entry ---------------------------------------------------------- *)
+(* Negative-node transitions carry their own flag per token. The [k]
+   transitions arrive in REVERSE scan order (the scan conses them);
+   rows are filled back to front, so the tasks come out in scan order. *)
+let emit_transitions n rev_transitions k =
+  let succs = n.succs in
+  let ns = Array.length succs in
+  match rev_transitions with
+  | [] -> [||]
+  | _ :: _ when ns = 0 -> [||]
+  | (f0, t0) :: _ ->
+    let out = Array.make (k * ns) (task_to f0 t0 succs.(0)) in
+    fan_out out ~row:((k - 1) * ns) ~from:1 succs f0 t0;
+    let rest = ref rev_transitions in
+    for ti = k - 2 downto 0 do
+      match !rest with
+      | [] | [ _ ] -> assert false
+      | _ :: ((fl, tok) :: _ as tl) ->
+        fan_out out ~row:(ti * ns) ~from:0 succs fl tok;
+        rest := tl
+    done;
+    out
 
-let exec_entry net n (flag : Task.flag) w =
+(* Fused extend+emit for join scans: the [k] matched operands arrive in
+   REVERSE scan order (one cons per match — an empty scan allocates
+   nothing); [extend a b m] builds the token for operand [m] from the
+   activation's own data [a], [b] (a closed function, so no closure is
+   allocated per task). Rows are filled back to front, so each extended
+   token, in scan order, fans to every successor in registration order.
+   Token extension is skipped entirely when the node has no successors
+   (extension is pure, so nothing observable is lost). *)
+let emit_extended n flag extend a b rev_ms k =
+  let succs = n.succs in
+  let ns = Array.length succs in
+  match rev_ms with
+  | [] -> [||]
+  | _ :: _ when ns = 0 -> [||]
+  | last :: _ ->
+    let last_tok = extend a b last in
+    let out = Array.make (k * ns) (task_to flag last_tok succs.(0)) in
+    fan_out out ~row:((k - 1) * ns) ~from:1 succs flag last_tok;
+    let rest = ref rev_ms in
+    for ti = k - 2 downto 0 do
+      match !rest with
+      | [] | [ _ ] -> assert false
+      | _ :: (m :: _ as tl) ->
+        fan_out out ~row:(ti * ns) ~from:0 succs flag (extend a b m);
+        rest := tl
+    done;
+    out
+
+let extend_left token () w = Token.extend token w
+let extend_right w () tok = Token.extend tok w
+let concat_left token bi rt = Token.concat token (Token.suffix rt bi.right_drop)
+let concat_right rtok bi lt = Token.concat lt (Token.suffix rtok bi.right_drop)
+
+(* --- scan steps --------------------------------------------------------- *)
+
+(* Closed step functions for [Memory.left_fold]/[right_fold]: everything
+   they need arrives as the two environment arguments. *)
+
+let join_left_step ti token acc = function
+  | Memory.R_wme w -> if jtests_hold ti token w then w :: acc else acc
+  | Memory.R_tok _ -> acc
+
+let join_right_step ti w acc e =
+  let tok = e.Memory.l_token in
+  if jtests_hold ti tok w then tok :: acc else acc
+
+let neg_count_step ti token count = function
+  | Memory.R_wme w -> if jtests_hold ti token w then count + 1 else count
+  | Memory.R_tok _ -> count
+
+(* A right add blocks the left tokens it matches (count 0 -> 1: emit
+   their deletion); a right delete releases them (1 -> 0: re-add). *)
+let neg_block_step ti w acc e =
+  if jtests_hold ti e.Memory.l_token w then begin
+    e.Memory.l_count <- e.Memory.l_count + 1;
+    if e.Memory.l_count = 1 then (Task.Delete, e.Memory.l_token) :: acc else acc
+  end
+  else acc
+
+let neg_release_step ti w acc e =
+  if jtests_hold ti e.Memory.l_token w then begin
+    e.Memory.l_count <- e.Memory.l_count - 1;
+    if e.Memory.l_count = 0 then (Task.Add, e.Memory.l_token) :: acc else acc
+  end
+  else acc
+
+let ncc_count_step token len count = function
+  | Memory.R_tok sub ->
+    if Token.equal (Token.prefix sub len) token then count + 1 else count
+  | Memory.R_wme _ -> count
+
+let ncc_block_step prefix () acc e =
+  if Token.equal e.Memory.l_token prefix then begin
+    e.Memory.l_count <- e.Memory.l_count + 1;
+    if e.Memory.l_count = 1 then (Task.Delete, e.Memory.l_token) :: acc else acc
+  end
+  else acc
+
+let ncc_release_step prefix () acc e =
+  if Token.equal e.Memory.l_token prefix then begin
+    e.Memory.l_count <- e.Memory.l_count - 1;
+    if e.Memory.l_count = 0 then (Task.Add, e.Memory.l_token) :: acc else acc
+  end
+  else acc
+
+let bjoin_left_step bi token acc = function
+  | Memory.R_tok rt -> if btests_hold bi token rt then rt :: acc else acc
+  | Memory.R_wme _ -> acc
+
+let bjoin_right_step bi rtok acc e =
+  let tok = e.Memory.l_token in
+  if btests_hold bi tok rtok then tok :: acc else acc
+
+(* A left add/remove that crossed the activation threshold. *)
+let left_live mem ~node ~khash (flag : Task.flag) token =
+  match flag with
+  | Task.Add -> (
+    match Memory.left_add mem ~node ~khash token ~count:0 with
+    | `Activated _ -> true
+    | `Inert -> false)
+  | Task.Delete -> (
+    match Memory.left_remove mem ~node ~khash token with
+    | `Deactivated _ -> true
+    | `Inert -> false)
+
+(* --- sections ------------------------------------------------------- *)
+
+(* Every two-input activation is one of four section shapes; [khash]
+   names the bucket, and the step and extension functions with their
+   environments make up the node kind's tests (see [exec_node]). *)
+
+(* Entry: a wme becomes a one-wme token on the activation transition. *)
+let exec_entry o net n (flag : Task.flag) w =
+  let mem = net.mem in
   let kh = khash_entry n w in
-  let line = Memory.line_of net.mem ~khash:kh in
-  let acc = access ~node:n.id ~line in
+  let line = Memory.line_of mem ~khash:kh in
+  let locked = enter net ~line in
   let transitioned =
-    with_line net ~line (fun () ->
-        match flag with
-        | Task.Add -> Memory.right_add net.mem ~node:n.id ~khash:kh (Memory.R_wme w)
-        | Task.Delete -> Memory.right_remove net.mem ~node:n.id ~khash:kh (Memory.R_wme w))
+    match right_change mem ~node:n.id ~khash:kh flag (Memory.R_wme w) with
+    | v ->
+      leave net ~line locked;
+      v
+    | exception e ->
+      leave net ~line locked;
+      raise e
   in
-  if not transitioned then { no_children with accesses = [ acc ] }
-  else
-    let tok = Token.singleton w in
-    { children = emit n flag tok; scanned = 0; matched = 1; insts = [];
-      accesses = [ acc ] }
+  finish o n ~line ~locked
+    (if transitioned then emit n flag (Token.singleton w) else [||])
+    ~scanned:0
 
-(* --- join ----------------------------------------------------------- *)
-
-let exec_join_left net n ti (flag : Task.flag) token =
-  let kh = khash_left n token in
-  let line = Memory.line_of net.mem ~khash:kh in
-  let acc = access ~node:n.id ~line in
-  let matches = ref [] in
-  let nm = ref 0 in
+(* Join-like left activation (join, binary join): insert or remove the
+   token; on the transition, pair it with every right partner. *)
+let scan_left o net n ~khash (flag : Task.flag) token step env extend xenv =
+  let mem = net.mem in
+  let line = Memory.line_of mem ~khash in
+  let locked = enter net ~line in
   let scanned = ref 0 in
-  let live =
-    with_line net ~line (fun () ->
-        let live =
-          match flag with
-          | Task.Add -> (
-            match Memory.left_add net.mem ~node:n.id ~khash:kh token ~count:0 with
-            | `Activated _ -> true
-            | `Inert -> false)
-          | Task.Delete -> (
-            match Memory.left_remove net.mem ~node:n.id ~khash:kh token with
-            | `Deactivated _ -> true
-            | `Inert -> false)
-        in
-        if live then
-          scanned :=
-            Memory.right_iter net.mem ~node:n.id ~khash:kh (fun payload ->
-                match payload with
-                | Memory.R_wme w ->
-                  if jtests_hold ti token w then begin
-                    matches := w :: !matches;
-                    incr nm
-                  end
-                | Memory.R_tok _ -> ());
-        live)
+  let matches =
+    match
+      if left_live mem ~node:n.id ~khash flag token then begin
+        scanned := Memory.right_length mem ~line;
+        Memory.right_fold mem ~node:n.id ~khash step env token []
+      end
+      else []
+    with
+    | v ->
+      leave net ~line locked;
+      v
+    | exception e ->
+      leave net ~line locked;
+      raise e
   in
-  if not live then { no_children with accesses = [ acc ] }
-  else
-    { children = emit_extended n flag ~extend:(fun w -> Token.extend token w) !matches !nm;
-      scanned = !scanned; matched = !nm; insts = []; accesses = [ acc ] }
+  let k = List.length matches in
+  finish o n ~line ~locked (emit_extended n flag extend token xenv matches k) ~scanned:!scanned
 
-let exec_join_right net n ti (flag : Task.flag) w =
-  let kh = khash_right n w in
-  let line = Memory.line_of net.mem ~khash:kh in
-  let acc = access ~node:n.id ~line in
-  let matches = ref [] in
-  let nm = ref 0 in
+(* Join-like right activation: insert or remove the right [payload]
+   (carrying [x]); on the transition, pair it with every left token. *)
+let scan_right o net n ~khash (flag : Task.flag) payload x step env extend xenv =
+  let mem = net.mem in
+  let line = Memory.line_of mem ~khash in
+  let locked = enter net ~line in
   let scanned = ref 0 in
-  let live =
-    with_line net ~line (fun () ->
-        let live =
-          match flag with
-          | Task.Add -> Memory.right_add net.mem ~node:n.id ~khash:kh (Memory.R_wme w)
-          | Task.Delete -> Memory.right_remove net.mem ~node:n.id ~khash:kh (Memory.R_wme w)
-        in
-        if live then
-          scanned :=
-            Memory.left_iter net.mem ~node:n.id ~khash:kh (fun e ->
-                if jtests_hold ti e.Memory.l_token w then begin
-                  matches := e.Memory.l_token :: !matches;
-                  incr nm
-                end);
-        live)
+  let matches =
+    match
+      if right_change mem ~node:n.id ~khash flag payload then begin
+        scanned := Memory.left_length mem ~line;
+        Memory.left_fold mem ~node:n.id ~khash step env x []
+      end
+      else []
+    with
+    | v ->
+      leave net ~line locked;
+      v
+    | exception e ->
+      leave net ~line locked;
+      raise e
   in
-  if not live then { no_children with accesses = [ acc ] }
-  else
-    { children = emit_extended n flag ~extend:(fun tok -> Token.extend tok w) !matches !nm;
-      scanned = !scanned; matched = !nm; insts = []; accesses = [ acc ] }
+  let k = List.length matches in
+  finish o n ~line ~locked (emit_extended n flag extend x xenv matches k) ~scanned:!scanned
 
-(* --- negative ------------------------------------------------------- *)
-
-let exec_neg_left net n ti (flag : Task.flag) token =
-  let kh = khash_left n token in
-  let line = Memory.line_of net.mem ~khash:kh in
-  let acc = access ~node:n.id ~line in
-  let pass = ref false in
+(* Negative-like left activation (negative, NCC): count the token's
+   right partners with [count_step a b] and store the count; the token
+   passes on when it has none. *)
+let gate_left o net n ~khash (flag : Task.flag) token count_step a b =
+  let mem = net.mem in
+  let line = Memory.line_of mem ~khash in
+  let locked = enter net ~line in
   let scanned = ref 0 in
-  with_line net ~line (fun () ->
+  let pass =
+    match
       match flag with
-      | Task.Add ->
-        let count = ref 0 in
-        scanned :=
-          Memory.right_iter net.mem ~node:n.id ~khash:kh (fun payload ->
-              match payload with
-              | Memory.R_wme w -> if jtests_hold ti token w then incr count
-              | Memory.R_tok _ -> ());
-        (match Memory.left_add net.mem ~node:n.id ~khash:kh token ~count:!count with
-        | `Activated _ -> pass := !count = 0
-        | `Inert -> ())
+      | Task.Add -> (
+        scanned := Memory.right_length mem ~line;
+        let count = Memory.right_fold mem ~node:n.id ~khash count_step a b 0 in
+        match Memory.left_add mem ~node:n.id ~khash token ~count with
+        | `Activated _ -> count = 0
+        | `Inert -> false)
       | Task.Delete -> (
-        match Memory.left_remove net.mem ~node:n.id ~khash:kh token with
-        | `Deactivated e -> pass := e.Memory.l_count = 0
-        | `Inert -> ()));
-  if !pass then
-    { children = emit n flag token; scanned = !scanned; matched = 1; insts = [];
-      accesses = [ acc ] }
-  else { no_children with scanned = !scanned; accesses = [ acc ] }
-
-let exec_neg_right net n ti (flag : Task.flag) w =
-  let kh = khash_right n w in
-  let line = Memory.line_of net.mem ~khash:kh in
-  let acc = access ~node:n.id ~line in
-  let transitions = ref [] in
-  let scanned = ref 0 in
-  with_line net ~line (fun () ->
-      match flag with
-      | Task.Add ->
-        if Memory.right_add net.mem ~node:n.id ~khash:kh (Memory.R_wme w) then
-          scanned :=
-            Memory.left_iter net.mem ~node:n.id ~khash:kh (fun e ->
-                if jtests_hold ti e.Memory.l_token w then begin
-                  e.Memory.l_count <- e.Memory.l_count + 1;
-                  if e.Memory.l_count = 1 then
-                    transitions := (Task.Delete, e.Memory.l_token) :: !transitions
-                end)
-      | Task.Delete ->
-        if Memory.right_remove net.mem ~node:n.id ~khash:kh (Memory.R_wme w) then
-          scanned :=
-            Memory.left_iter net.mem ~node:n.id ~khash:kh (fun e ->
-                if jtests_hold ti e.Memory.l_token w then begin
-                  e.Memory.l_count <- e.Memory.l_count - 1;
-                  if e.Memory.l_count = 0 then
-                    transitions := (Task.Add, e.Memory.l_token) :: !transitions
-                end));
-  let transitions = List.rev !transitions in
-  { children = emit_transitions n transitions; scanned = !scanned;
-    matched = List.length transitions; insts = []; accesses = [ acc ] }
-
-(* --- NCC ------------------------------------------------------------- *)
-
-let exec_ncc_left net n (flag : Task.flag) token =
-  let kh = khash_ncc_left n token in
-  let line = Memory.line_of net.mem ~khash:kh in
-  let acc = access ~node:n.id ~line in
-  let pass = ref false in
-  let scanned = ref 0 in
-  with_line net ~line (fun () ->
-      match flag with
-      | Task.Add ->
-        let count = ref 0 in
-        scanned :=
-          Memory.right_iter net.mem ~node:n.id ~khash:kh (fun payload ->
-              match payload with
-              | Memory.R_tok sub ->
-                if Token.equal (Token.prefix sub (Token.length token)) token then incr count
-              | Memory.R_wme _ -> ());
-        (match Memory.left_add net.mem ~node:n.id ~khash:kh token ~count:!count with
-        | `Activated _ -> pass := !count = 0
-        | `Inert -> ())
-      | Task.Delete -> (
-        match Memory.left_remove net.mem ~node:n.id ~khash:kh token with
-        | `Deactivated e -> pass := e.Memory.l_count = 0
-        | `Inert -> ()));
-  if !pass then
-    { children = emit n flag token; scanned = !scanned; matched = 1; insts = [];
-      accesses = [ acc ] }
-  else { no_children with scanned = !scanned; accesses = [ acc ] }
-
-let exec_ncc_partner net n ~ncc ~prefix_len (flag : Task.flag) subtok =
-  let ncc_node = node net ncc in
-  let prefix = Token.prefix subtok prefix_len in
-  let kh = khash_ncc_right n subtok in
-  let line = Memory.line_of net.mem ~khash:kh in
-  let acc = access ~node:ncc ~line in
-  let transitions = ref [] in
-  let scanned = ref 0 in
-  with_line net ~line (fun () ->
-      match flag with
-      | Task.Add ->
-        if Memory.right_add net.mem ~node:ncc ~khash:kh (Memory.R_tok subtok) then
-          scanned :=
-            Memory.left_iter net.mem ~node:ncc ~khash:kh (fun e ->
-                if Token.equal e.Memory.l_token prefix then begin
-                  e.Memory.l_count <- e.Memory.l_count + 1;
-                  if e.Memory.l_count = 1 then
-                    transitions := (Task.Delete, e.Memory.l_token) :: !transitions
-                end)
-      | Task.Delete ->
-        if Memory.right_remove net.mem ~node:ncc ~khash:kh (Memory.R_tok subtok) then
-          scanned :=
-            Memory.left_iter net.mem ~node:ncc ~khash:kh (fun e ->
-                if Token.equal e.Memory.l_token prefix then begin
-                  e.Memory.l_count <- e.Memory.l_count - 1;
-                  if e.Memory.l_count = 0 then
-                    transitions := (Task.Add, e.Memory.l_token) :: !transitions
-                end));
-  let transitions = List.rev !transitions in
-  { children = emit_transitions ncc_node transitions; scanned = !scanned;
-    matched = List.length transitions; insts = []; accesses = [ acc ] }
-
-(* --- binary join (bilinear networks) --------------------------------- *)
-
-let exec_bjoin_left net n bi (flag : Task.flag) token =
-  let kh = khash_bjoin_left n token in
-  let line = Memory.line_of net.mem ~khash:kh in
-  let acc = access ~node:n.id ~line in
-  let matches = ref [] in
-  let nm = ref 0 in
-  let scanned = ref 0 in
-  let live =
-    with_line net ~line (fun () ->
-        let live =
-          match flag with
-          | Task.Add -> (
-            match Memory.left_add net.mem ~node:n.id ~khash:kh token ~count:0 with
-            | `Activated _ -> true
-            | `Inert -> false)
-          | Task.Delete -> (
-            match Memory.left_remove net.mem ~node:n.id ~khash:kh token with
-            | `Deactivated _ -> true
-            | `Inert -> false)
-        in
-        if live then
-          scanned :=
-            Memory.right_iter net.mem ~node:n.id ~khash:kh (fun payload ->
-                match payload with
-                | Memory.R_tok rt ->
-                  if btests_hold bi token rt then begin
-                    matches := rt :: !matches;
-                    incr nm
-                  end
-                | Memory.R_wme _ -> ());
-        live)
+        match Memory.left_remove mem ~node:n.id ~khash token with
+        | `Deactivated e -> e.Memory.l_count = 0
+        | `Inert -> false)
+    with
+    | v ->
+      leave net ~line locked;
+      v
+    | exception e ->
+      leave net ~line locked;
+      raise e
   in
-  if not live then { no_children with accesses = [ acc ] }
-  else
-    { children =
-        emit_extended n flag !matches !nm
-          ~extend:(fun rt -> Token.concat token (Token.suffix rt bi.right_drop));
-      scanned = !scanned; matched = !nm; insts = []; accesses = [ acc ] }
+  finish o n ~line ~locked (if pass then emit n flag token else [||]) ~scanned:!scanned
 
-let exec_bjoin_right net n bi (flag : Task.flag) rtok =
-  let kh = khash_bjoin_right n rtok in
-  let line = Memory.line_of net.mem ~khash:kh in
-  let acc = access ~node:n.id ~line in
-  let matches = ref [] in
-  let nm = ref 0 in
+(* Negative-like right activation: a right add blocks the left tokens
+   it matches, a right delete releases them; the tokens whose count
+   crossed 0 change flag downstream. [owner] holds the memories and the
+   fan-out: the node itself, or the NCC node for its partner. *)
+let gate_right o net owner ~khash (flag : Task.flag) payload block release a b =
+  let mem = net.mem in
+  let line = Memory.line_of mem ~khash in
+  let locked = enter net ~line in
   let scanned = ref 0 in
-  let live =
-    with_line net ~line (fun () ->
-        let live =
-          match flag with
-          | Task.Add -> Memory.right_add net.mem ~node:n.id ~khash:kh (Memory.R_tok rtok)
-          | Task.Delete -> Memory.right_remove net.mem ~node:n.id ~khash:kh (Memory.R_tok rtok)
-        in
-        if live then
-          scanned :=
-            Memory.left_iter net.mem ~node:n.id ~khash:kh (fun e ->
-                if btests_hold bi e.Memory.l_token rtok then begin
-                  matches := e.Memory.l_token :: !matches;
-                  incr nm
-                end);
-        live)
+  let transitions =
+    match
+      if right_change mem ~node:owner.id ~khash flag payload then begin
+        scanned := Memory.left_length mem ~line;
+        let step = match flag with Task.Add -> block | Task.Delete -> release in
+        Memory.left_fold mem ~node:owner.id ~khash step a b []
+      end
+      else []
+    with
+    | v ->
+      leave net ~line locked;
+      v
+    | exception e ->
+      leave net ~line locked;
+      raise e
   in
-  if not live then { no_children with accesses = [ acc ] }
-  else
-    { children =
-        emit_extended n flag !matches !nm
-          ~extend:(fun lt -> Token.concat lt (Token.suffix rtok bi.right_drop));
-      scanned = !scanned; matched = !nm; insts = []; accesses = [ acc ] }
+  let k = List.length transitions in
+  finish o owner ~line ~locked (emit_transitions owner transitions k) ~scanned:!scanned
 
 (* --- P-node ----------------------------------------------------------- *)
 
-let exec_pnode net _n pi (flag : Task.flag) token =
+let exec_pnode o net pi (flag : Task.flag) token =
   let inst_token =
     match pi.perm with None -> token | Some perm -> Token.permute token perm
   in
@@ -384,7 +375,7 @@ let exec_pnode net _n pi (flag : Task.flag) token =
   (match flag with
   | Task.Add -> Conflict_set.add net.cs inst
   | Task.Delete -> Conflict_set.remove net.cs inst);
-  { no_children with matched = 1; insts = [ (flag, inst) ] }
+  finish_unlocked o [ (flag, inst) ]
 
 (* --- dispatch ---------------------------------------------------------- *)
 
@@ -398,60 +389,72 @@ let m_children = Psme_obs.Metrics.counter Psme_obs.Metrics.global "rete.runtime.
 let m_alpha =
   Psme_obs.Metrics.counter Psme_obs.Metrics.global "rete.runtime.alpha_activations"
 
-let exec_dispatch net task =
+let exec_node o net n task =
   match task with
-  | Task.Right { node = nid; flag; wme } -> (
-    match Hashtbl.find_opt net.beta nid with
-    | None -> no_children  (* node excised while the task was queued *)
-    | Some n -> (
-      match n.kind with
-      | Entry -> exec_entry net n flag wme
-      | Join ti -> exec_join_right net n ti flag wme
-      | Neg ti -> exec_neg_right net n ti flag wme
-      | Ncc _ | Ncc_partner _ | Bjoin _ | Pnode _ ->
-        invalid_arg "Runtime.exec: wme delivered to a token-only node"))
-  | Task.Left { node = nid; flag; token } -> (
-    match Hashtbl.find_opt net.beta nid with
-    | None -> no_children
-    | Some n -> (
-      match n.kind with
-      | Join ti -> exec_join_left net n ti flag token
-      | Neg ti -> exec_neg_left net n ti flag token
-      | Ncc _ -> exec_ncc_left net n flag token
-      | Bjoin bi -> exec_bjoin_left net n bi flag token
-      | Pnode pi -> exec_pnode net n pi flag token
-      | Entry | Ncc_partner _ ->
-        invalid_arg "Runtime.exec: left token delivered to a right-only node"))
-  | Task.Rtok { node = nid; flag; token } -> (
-    match Hashtbl.find_opt net.beta nid with
-    | None -> no_children
-    | Some n -> (
-      match n.kind with
-      | Ncc_partner { ncc; prefix_len } -> exec_ncc_partner net n ~ncc ~prefix_len flag token
-      | Bjoin bi -> exec_bjoin_right net n bi flag token
-      | Entry | Join _ | Neg _ | Ncc _ | Pnode _ ->
-        invalid_arg "Runtime.exec: right token delivered to a non-binary node"))
+  | Task.Right { flag; wme; _ } -> (
+    match n.kind with
+    | Entry -> exec_entry o net n flag wme
+    | Join ti ->
+      scan_right o net n ~khash:(khash_right n wme) flag (Memory.R_wme wme) wme
+        join_right_step ti extend_right ()
+    | Neg ti ->
+      gate_right o net n ~khash:(khash_right n wme) flag (Memory.R_wme wme)
+        neg_block_step neg_release_step ti wme
+    | Ncc _ | Ncc_partner _ | Bjoin _ | Pnode _ ->
+      invalid_arg "Runtime.exec: wme delivered to a token-only node")
+  | Task.Left { flag; token; _ } -> (
+    match n.kind with
+    | Join ti ->
+      scan_left o net n ~khash:(khash_left n token) flag token join_left_step ti
+        extend_left ()
+    | Neg ti -> gate_left o net n ~khash:(khash_left n token) flag token neg_count_step ti token
+    | Ncc _ ->
+      gate_left o net n ~khash:(khash_ncc_left n token) flag token ncc_count_step token
+        (Token.length token)
+    | Bjoin bi ->
+      scan_left o net n ~khash:(khash_bjoin_left n token) flag token bjoin_left_step bi
+        concat_left bi
+    | Pnode pi -> exec_pnode o net pi flag token
+    | Entry | Ncc_partner _ ->
+      invalid_arg "Runtime.exec: left token delivered to a right-only node")
+  | Task.Rtok { flag; token; _ } -> (
+    match n.kind with
+    | Ncc_partner { ncc; prefix_len } ->
+      (* the partner's results land in the NCC node's own memories *)
+      gate_right o net (node net ncc) ~khash:(khash_ncc_right n token) flag
+        (Memory.R_tok token) ncc_block_step ncc_release_step
+        (Token.prefix token prefix_len) ()
+    | Bjoin bi ->
+      scan_right o net n ~khash:(khash_bjoin_right n token) flag (Memory.R_tok token) token
+        bjoin_right_step bi concat_right bi
+    | Entry | Join _ | Neg _ | Ncc _ | Pnode _ ->
+      invalid_arg "Runtime.exec: right token delivered to a non-binary node")
 
-let exec net task =
-  let o = exec_dispatch net task in
+let exec net node task o =
+  (match node with
+  | None -> finish_unlocked o [] (* node excised while the task was queued *)
+  | Some n -> exec_node o net n task);
   Psme_obs.Metrics.incr m_tasks;
   Psme_obs.Metrics.add m_scanned o.scanned;
-  Psme_obs.Metrics.add m_children (Array.length o.children);
-  o
+  Psme_obs.Metrics.add m_children (Array.length o.children)
 
 (* --- alpha seeding ------------------------------------------------------ *)
 
-let seed_wme_change ?(min_node_id = 0) net flag w =
-  let tasks = ref [] in
+let iter_seeds ?(min_node_id = 0) net flag w f =
   let activations =
     Alpha.matching_amems net.alpha w (fun amem ->
-        List.iter
-          (fun nid ->
-            if nid >= min_node_id then
-              tasks := Task.Right { node = nid; flag; wme = w } :: !tasks)
-          (Alpha.successors net.alpha ~amem))
+        let succs = Alpha.successors net.alpha ~amem in
+        for i = 0 to Array.length succs - 1 do
+          let nid = succs.(i) in
+          if nid >= min_node_id then f (Task.Right { node = nid; flag; wme = w })
+        done)
   in
   Psme_obs.Metrics.add m_alpha activations;
+  activations
+
+let seed_wme_change ?min_node_id net flag w =
+  let tasks = ref [] in
+  let activations = iter_seeds ?min_node_id net flag w (fun t -> tasks := t :: !tasks) in
   (List.rev !tasks, activations)
 
 (* --- replay (update phase, §5.2) ----------------------------------------- *)

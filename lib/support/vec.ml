@@ -34,6 +34,13 @@ let pop t =
     Some x
   end
 
+let pop_exn t =
+  if t.len = 0 then invalid_arg "Vec.pop_exn";
+  t.len <- t.len - 1;
+  let x = t.data.(t.len) in
+  t.data.(t.len) <- Obj.magic 0;
+  x
+
 let get t i =
   if i < 0 || i >= t.len then invalid_arg "Vec.get";
   t.data.(i)

@@ -15,6 +15,10 @@ val push : 'a t -> 'a -> unit
 val pop : 'a t -> 'a option
 (** Removes and returns the last element. *)
 
+val pop_exn : 'a t -> 'a
+(** [pop] without the option, for loops that test {!is_empty} first:
+    allocates nothing. Raises [Invalid_argument] on an empty vector. *)
+
 val get : 'a t -> int -> 'a
 val unsafe_get : 'a t -> int -> 'a
 (** [get] without the bounds check. The index must already be known to be

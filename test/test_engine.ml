@@ -233,6 +233,69 @@ let test_parallel_words_reach_telemetry () =
     Alcotest.failf "telemetry saw %.0f of %.0f minor words (%.2f)" seen total
       (seen /. total)
 
+(* A task queued for a node whose production is excised before the task
+   runs is a no-op on every engine: no children, no exception. *)
+let test_excised_node_tasks () =
+  let modes =
+    [ ("serial", Engine.Serial_mode);
+      ("sim",
+       Engine.Sim_mode
+         { Sim.procs = 2; queues = Parallel.Multiple_queues; collect_trace = false });
+      ("parallel",
+       Engine.Parallel_mode { Parallel.processes = 2; queues = Parallel.Multiple_queues })
+    ]
+  in
+  List.iter
+    (fun (label, mode) ->
+      let schema, net = fresh () in
+      let pm = Option.get (Network.find_production net (Sym.intern "r3")) in
+      let token = Token.singleton (hand_wme schema) in
+      let tasks =
+        Task.Left { node = pm.Network.pnode; flag = Task.Add; token }
+        :: List.map
+             (fun id -> Task.Left { node = id; flag = Task.Add; token })
+             pm.Network.created_nodes
+      in
+      Build.excise_production net (Sym.intern "r3");
+      Alcotest.(check bool)
+        (label ^ ": P-node excised") true
+        (Network.node_opt net pm.Network.pnode = None);
+      let stats = Engine.run_tasks (Engine.create mode net) tasks in
+      Alcotest.(check int) (label ^ ": no children") 0 stats.Cycle.emitted;
+      Alcotest.(check int) (label ^ ": every task ran") (List.length tasks) stats.Cycle.tasks)
+    modes
+
+(* The serial match hot path allocates only what an activation keeps or
+   hands on: memory entries, extended tokens and child tasks. Minor
+   words are deterministic, so this is an exact gate: words charged to
+   the [Match] phase over a learning cypress run, per task executed.
+   Most cypress tasks scan and emit nothing, so the figure is dominated
+   by per-activation scaffolding — a regression there shows at once. *)
+let serial_match_words_per_task () =
+  let open Psme_obs in
+  let key = "telemetry.phase.match.minor_words" in
+  let match_words () = List.assoc key (Telemetry.snapshot_kv Telemetry.global) in
+  let agent = Psme_workloads.Cypress.make_agent () in
+  let m0 = match_words () in
+  ignore (Psme_soar.Agent.run agent);
+  let words = match_words () -. m0 in
+  let tasks = (Engine.totals (Psme_soar.Agent.engine agent)).Cycle.tasks in
+  words /. float_of_int tasks
+
+(* 28.95 measured on OCaml 5.1.1, plus 10%. Nearly all cypress tasks are
+   right adds: most of a task's words are the memory entry and
+   bucket-index slot it keeps and the seeded task record itself; the
+   node lookup's [Some] and the boxed task cost add 4. Before the hot
+   path was made allocation-free this read 112.6. *)
+let max_match_words_per_task = 31.8
+
+let test_serial_match_words_per_task () =
+  let w = serial_match_words_per_task () in
+  Printf.eprintf "serial match words per task: %.2f\n%!" w;
+  if w > max_match_words_per_task then
+    Alcotest.failf "serial match allocates %.1f words per task (bound %.1f)" w
+      max_match_words_per_task
+
 let suite =
   [
     Alcotest.test_case "parallel engines match serial" `Quick test_parallel_matches_serial;
@@ -249,4 +312,7 @@ let suite =
     Alcotest.test_case "engine facade history" `Quick test_engine_facade_history;
     Alcotest.test_case "parallel words reach telemetry" `Quick
       test_parallel_words_reach_telemetry;
+    Alcotest.test_case "tasks for excised nodes are no-ops" `Quick test_excised_node_tasks;
+    Alcotest.test_case "serial match words per task" `Quick
+      test_serial_match_words_per_task;
   ]

@@ -455,6 +455,58 @@ let test_memory_node_isolation () =
       ignore (Memory.right_iter mem ~node:2 ~khash:5 (fun _ -> incr seen));
       Alcotest.(check int) "node 2 survives drop of node 1" 1 !seen)
 
+(* A join whose residual test reads slot 3 of a one-wme token: the scan
+   raises [Invalid_argument] inside the line-lock section. The section
+   must release the lock on that path, so a later [Memory.locked] on
+   the line acquires it at the first try. The probe runs on another
+   domain: were the lock still held, it would spin, and the test
+   releases it itself and fails instead of hanging. *)
+let test_raising_section_frees_lock () =
+  let open Psme_obs in
+  let schema = schema_with () in
+  let net = Network.create schema in
+  let bad = { Network.l_slot = 3; l_fld = 0; rel = Cond.Eq; r_fld = 0 } in
+  let n =
+    Network.add_node net
+      ~kind:(Network.Join { Network.eq = []; others = [ bad ] })
+      ~parent:None ~alpha_src:None
+  in
+  let wme tag =
+    Wme.make ~cls:(Sym.intern "block")
+      ~fields:(fields schema "block" [ ("name", sym "b") ])
+      ~timetag:tag
+  in
+  let o = Runtime.outcome () in
+  let nopt = Network.node_opt net n.Network.id in
+  Runtime.exec net nopt (Task.Right { node = n.Network.id; flag = Task.Add; wme = wme 1 }) o;
+  let token = Token.singleton (wme 2) in
+  let line = Memory.line_of net.Network.mem ~khash:(Network.khash_left n token) in
+  (match
+     Runtime.exec net nopt (Task.Left { node = n.Network.id; flag = Task.Add; token }) o
+   with
+  | () -> Alcotest.fail "the join test should read past the token"
+  | exception Invalid_argument _ -> ());
+  let contended () =
+    List.assoc "telemetry.lock.contended" (Telemetry.snapshot_kv Telemetry.global)
+  in
+  let c0 = contended () in
+  let acquired = Atomic.make false in
+  let probe =
+    Domain.spawn (fun () ->
+        Memory.locked net.Network.mem ~line (fun () -> Atomic.set acquired true))
+  in
+  let deadline = Clock.now_ns () + 5_000_000_000 in
+  while (not (Atomic.get acquired)) && Clock.now_ns () < deadline do
+    Domain.cpu_relax ()
+  done;
+  if not (Atomic.get acquired) then begin
+    Memory.unlock net.Network.mem ~line;
+    Domain.join probe;
+    Alcotest.fail "the raising section left its line locked"
+  end;
+  Domain.join probe;
+  Alcotest.(check (float 0.)) "probe not contended" c0 (contended ())
+
 let test_left_access_counters () =
   let schema, net = network_of graspable_src in
   let wm = Wm.create () in
@@ -514,6 +566,8 @@ let suite =
       test_bilinear_runtime_add_and_update;
     Alcotest.test_case "memory roundtrip" `Quick test_memory_roundtrip;
     Alcotest.test_case "memory node isolation" `Quick test_memory_node_isolation;
+    Alcotest.test_case "raising section frees line lock" `Quick
+      test_raising_section_frees_lock;
     Alcotest.test_case "left access counters" `Quick test_left_access_counters;
     Alcotest.test_case "token operations" `Quick test_token_ops;
   ]
