@@ -334,8 +334,8 @@ let top_arg =
 
 let json_arg =
   let doc =
-    "Emit machine-readable JSON (per-cycle stats and the metrics registry) \
-     instead of tables."
+    "Emit machine-readable JSON (per-cycle stats and the telemetry snapshot, \
+     schema psme-telemetry/1) instead of tables."
   in
   Arg.(value & flag & info [ "json" ] ~doc)
 
@@ -368,10 +368,10 @@ let profile_cmd_impl task procs queues learning top json =
     in
     if json then begin
       let cycles = Engine.history engine in
-      Format.printf "{\"task\": \"%s\", \"cycles\": [%s], \"metrics\": %s}@."
+      Format.printf "{\"task\": \"%s\", \"cycles\": [%s], \"telemetry\": %s}@."
         w.Workload.name
         (String.concat ", " (List.map Cycle.to_json cycles))
-        (Psme_obs.Metrics.to_json (Psme_obs.Metrics.snapshot Psme_obs.Metrics.global));
+        (Psme_obs.Json.to_string (Psme_obs.Telemetry.to_json Psme_obs.Telemetry.global));
       0
     end
     else begin
@@ -400,17 +400,16 @@ let profile_cmd_impl task procs queues learning top json =
           (Psme_harness.Observe.node_name net r.Psme_obs.Critical_path.cp_head_node)
           (match owners with [] -> "" | o :: _ -> Printf.sprintf " (production %s)" o)
       | None -> ());
-      Format.printf "metrics registry:@.";
-      Psme_obs.Metrics.pp Format.std_formatter
-        (Psme_obs.Metrics.snapshot Psme_obs.Metrics.global);
+      Format.printf "telemetry:@.";
+      Psme_obs.Telemetry.pp Format.std_formatter Psme_obs.Telemetry.global;
       0
     end
 
 let profile_cmd =
   let doc =
     "Run a task on the traced simulator and print the per-node and \
-     per-production match profile, the critical-path report and the metrics \
-     registry."
+     per-production match profile, the critical-path report and the telemetry \
+     snapshot."
   in
   Cmd.v (Cmd.info "profile" ~doc)
     Term.(

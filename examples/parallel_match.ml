@@ -49,6 +49,10 @@ let changes schema n =
         Value.Int (Rng.int rng 20);
       (Task.Add, Wme.make ~cls ~fields ~timetag:(i + 1)))
 
+let lock_spins () =
+  let tm = Psme_obs.Telemetry.global in
+  List.assoc "telemetry.lock.spins" (Psme_obs.Telemetry.snapshot_kv tm)
+
 let () =
   let n = 150 in
   (* Reference: serial. *)
@@ -60,16 +64,17 @@ let () =
   List.iter
     (fun (label, queues) ->
       let _, net = build_network () in
+      let spins_before = lock_spins () in
       let stats =
         Parallel.run_changes
           { Parallel.processes = 3; queues }
           net (changes schema n)
       in
-      Format.printf "%s %d instantiations, %d tasks, %d failed pops, %d lock spins@."
+      Format.printf "%s %d instantiations, %d tasks, %d failed pops, %.0f lock spins@."
         label
         (Conflict_set.size net.Network.cs)
         stats.Cycle.tasks stats.Cycle.failed_pops
-        (Memory.total_spins net.Network.mem);
+        (lock_spins () -. spins_before);
       assert (Conflict_set.size net.Network.cs = reference))
     [
       ("3 domains (1q): ", Parallel.Single_queue);

@@ -19,12 +19,10 @@ val create : ?cost:Cost.params -> ?tracer:Psme_obs.Trace.t -> mode -> Network.t 
     and the underlying engine emits its task/queue/lock events; the
     engine keeps a running virtual clock so consecutive cycles abut on
     one global timeline (the tracer's base is advanced by each cycle's
-    makespan). All engines also feed the global {!Psme_obs.Metrics}
-    registry (counters [engine.cycles], [engine.tasks], ...; gauges
-    [engine.cycle.serial_us], [engine.cycle.makespan_us],
-    [engine.cycle.speedup_x]) and the always-on {!Psme_obs.Telemetry}
-    layer (cycle-latency histogram; each episode runs inside a [Match]
-    phase section for GC attribution). *)
+    makespan). All engines also feed the always-on
+    {!Psme_obs.Telemetry} layer: each episode's wall time goes into the
+    cycle histogram, and the episode runs inside a [Match] phase
+    section for GC attribution. Per-cycle counts live in {!history}. *)
 
 val network : t -> Network.t
 val mode : t -> mode

@@ -1,7 +1,7 @@
 (** Minimal JSON emission and validation.
 
     The container carries no JSON library, and the observability layer
-    only needs to {e write} machine-readable exports (metrics snapshots,
+    only needs to {e write} machine-readable exports (telemetry snapshots,
     [Cycle.to_json], Chrome trace files) and to {e check} them in tests,
     so this module provides exactly that: a small document type with a
     serializer, low-level [Buffer] helpers for bulk writers that cannot

@@ -340,8 +340,7 @@ let reset t =
 (* --- snapshots ----------------------------------------------------------- *)
 
 (* Flat key/value view, sorted by name. Names carry their unit as a
-   suffix (_us, _words, or unsuffixed pure counts) — the same
-   convention the metrics registry documents. *)
+   suffix (_us, _words, or unsuffixed pure counts). *)
 let snapshot_kv t =
   let rows = ref [] in
   let push k v = rows := (k, v) :: !rows in

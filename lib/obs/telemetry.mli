@@ -20,7 +20,8 @@
       is subtracted from its parent;
     - {b latency histograms} ({!Loghist}): cycle time, task time, queue
       dwell time, recorded in nanoseconds, exported in microseconds
-      with exact p50/p90/p99/max;
+      with exact p50/p90/p99/max (see {!cycle_hist} for which clock
+      each one holds on which engine);
     - {b contention counters}: Chase–Lev deque steal traffic and memory
       line-lock contention, threaded through {!Psme_support.Ws_deque}
       and the rete memories. *)
@@ -85,8 +86,16 @@ val incr_lock_contended : t -> unit
 val add_lock_spins : t -> int -> unit
 
 val cycle_hist : t -> Loghist.t
+(** Match-episode latency. Wall clock on every engine: [Engine] records
+    each episode's [Cycle.wall_ns]. *)
+
 val task_hist : t -> Loghist.t
+(** Per-task latency. Cost-model time on the serial and simulated
+    engines (their task costs), wall clock on the parallel engine. *)
+
 val dwell_hist : t -> Loghist.t
+(** Queue dwell, push to pop. Model time on the simulated engine, wall
+    clock on the parallel engine; the serial engine records none. *)
 
 val reset : t -> unit
 

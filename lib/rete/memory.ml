@@ -41,9 +41,6 @@ type line = {
 type t = {
   lines : line array;
   mask : int;
-  spins : int Atomic.t;
-  left_total : int Atomic.t;
-  right_total : int Atomic.t;
   hist : (int, int) Hashtbl.t;
   (* accesses-per-line-per-cycle [k] -> total left accesses on lines
      that saw [k] accesses that cycle (each line contributes k); see
@@ -141,31 +138,15 @@ let next_pow2 n =
 
 let create ?(lines = 512) () =
   let n = next_pow2 lines in
-  let t =
-    {
-      lines =
-        Array.init n (fun _ ->
-            { lock = Mutex.create (); left = Vec.create (); right = Vec.create ();
-              lidx = None; ridx = None;
-              left_accesses = 0 });
-      mask = n - 1;
-      spins = Atomic.make 0;
-      left_total = Atomic.make 0;
-      right_total = Atomic.make 0;
-      hist = Hashtbl.create 64;
-    }
-  in
-  (* The most recently created memory owns the well-known probe names;
-     sampling costs nothing on the access paths. *)
-  let module M = Psme_obs.Metrics in
-  M.set_probe M.global "rete.memory.lines" (fun () -> float_of_int n);
-  M.set_probe M.global "rete.memory.left_accesses" (fun () ->
-      float_of_int (Atomic.get t.left_total));
-  M.set_probe M.global "rete.memory.right_accesses" (fun () ->
-      float_of_int (Atomic.get t.right_total));
-  M.set_probe M.global "rete.memory.lock_spins" (fun () ->
-      float_of_int (Atomic.get t.spins));
-  t
+  {
+    lines =
+      Array.init n (fun _ ->
+          { lock = Mutex.create (); left = Vec.create (); right = Vec.create ();
+            lidx = None; ridx = None;
+            left_accesses = 0 });
+    mask = n - 1;
+    hist = Hashtbl.create 64;
+  }
 
 let line_count t = Array.length t.lines
 let line_of t ~khash = khash land t.mask
@@ -182,7 +163,6 @@ let lock t ~line =
       incr spun;
       Domain.cpu_relax ()
     done;
-    Atomic.fetch_and_add t.spins !spun |> ignore;
     Psme_obs.Telemetry.add_lock_spins tm !spun
   end
 
@@ -201,8 +181,7 @@ let locked t ~line f =
 
 let touch_left t line =
   let l = t.lines.(line) in
-  l.left_accesses <- l.left_accesses + 1;
-  Atomic.incr t.left_total
+  l.left_accesses <- l.left_accesses + 1
 
 (* Position of the first matching entry in ascending line order (-1 if
    none) — the same entry (and the same scan outcome) the full line scan
@@ -326,7 +305,6 @@ let right_swap_remove line i = swap_remove_indexed line.right line.ridx ~key_of:
 
 let right_add t ~node ~khash payload =
   let line = line_of t ~khash in
-  Atomic.incr t.right_total;
   let l = t.lines.(line) in
   let i = find_right l ~node ~khash payload in
   if i >= 0 then begin
@@ -345,7 +323,6 @@ let right_add t ~node ~khash payload =
 
 let right_remove t ~node ~khash payload =
   let line = line_of t ~khash in
-  Atomic.incr t.right_total;
   let l = t.lines.(line) in
   let i = find_right l ~node ~khash payload in
   if i >= 0 then begin
@@ -364,7 +341,6 @@ let right_remove t ~node ~khash payload =
 
 let right_fold t ~node ~khash f a b init =
   let line = line_of t ~khash in
-  Atomic.incr t.right_total;
   let l = t.lines.(line) in
   let ps = chain l.ridx (bkey ~node ~khash) in
   let acc = ref init in
@@ -460,6 +436,7 @@ let access_histogram t =
 let clear_access_histogram t = Hashtbl.reset t.hist
 
 let left_accesses_per_line t = Array.map (fun line -> line.left_accesses) t.lines
-let total_spins t = Atomic.get t.spins
-let total_left_accesses t = Atomic.get t.left_total
-let total_right_accesses t = Atomic.get t.right_total
+
+let total_left_accesses t =
+  Hashtbl.fold (fun _ n acc -> acc + n) t.hist 0
+  + Array.fold_left (fun acc line -> acc + line.left_accesses) 0 t.lines

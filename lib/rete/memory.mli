@@ -162,8 +162,6 @@ val access_histogram : t -> (int * int) list
 
 val clear_access_histogram : t -> unit
 
-val total_spins : t -> int
-(** Lock spins observed since creation (real parallel engine). *)
-
 val total_left_accesses : t -> int
-val total_right_accesses : t -> int
+(** Left accesses since creation or the last {!clear_access_histogram}:
+    the histogram's bins plus the live per-line counters. *)

@@ -379,16 +379,6 @@ let exec_pnode o net pi (flag : Task.flag) token =
 
 (* --- dispatch ---------------------------------------------------------- *)
 
-(* Process-wide activation counters, shared by all engines (the
-   observability layer's registry). Atomic, so the real parallel
-   engine's domains can bump them concurrently. *)
-let m_tasks = Psme_obs.Metrics.counter Psme_obs.Metrics.global "rete.runtime.tasks"
-let m_scanned = Psme_obs.Metrics.counter Psme_obs.Metrics.global "rete.runtime.scanned"
-let m_children = Psme_obs.Metrics.counter Psme_obs.Metrics.global "rete.runtime.children"
-
-let m_alpha =
-  Psme_obs.Metrics.counter Psme_obs.Metrics.global "rete.runtime.alpha_activations"
-
 let exec_node o net n task =
   match task with
   | Task.Right { flag; wme; _ } -> (
@@ -431,26 +421,19 @@ let exec_node o net n task =
       invalid_arg "Runtime.exec: right token delivered to a non-binary node")
 
 let exec net node task o =
-  (match node with
+  match node with
   | None -> finish_unlocked o [] (* node excised while the task was queued *)
-  | Some n -> exec_node o net n task);
-  Psme_obs.Metrics.incr m_tasks;
-  Psme_obs.Metrics.add m_scanned o.scanned;
-  Psme_obs.Metrics.add m_children (Array.length o.children)
+  | Some n -> exec_node o net n task
 
 (* --- alpha seeding ------------------------------------------------------ *)
 
 let iter_seeds ?(min_node_id = 0) net flag w f =
-  let activations =
-    Alpha.matching_amems net.alpha w (fun amem ->
-        let succs = Alpha.successors net.alpha ~amem in
-        for i = 0 to Array.length succs - 1 do
-          let nid = succs.(i) in
-          if nid >= min_node_id then f (Task.Right { node = nid; flag; wme = w })
-        done)
-  in
-  Psme_obs.Metrics.add m_alpha activations;
-  activations
+  Alpha.matching_amems net.alpha w (fun amem ->
+      let succs = Alpha.successors net.alpha ~amem in
+      for i = 0 to Array.length succs - 1 do
+        let nid = succs.(i) in
+        if nid >= min_node_id then f (Task.Right { node = nid; flag; wme = w })
+      done)
 
 let seed_wme_change ?min_node_id net flag w =
   let tasks = ref [] in

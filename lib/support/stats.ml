@@ -1,52 +1,3 @@
-type t = {
-  mutable n : int;
-  mutable mean : float;
-  mutable m2 : float;
-  mutable mn : float;
-  mutable mx : float;
-  mutable sum : float;
-}
-
-let create () =
-  { n = 0; mean = 0.; m2 = 0.; mn = infinity; mx = neg_infinity; sum = 0. }
-
-let add t x =
-  t.n <- t.n + 1;
-  t.sum <- t.sum +. x;
-  let delta = x -. t.mean in
-  t.mean <- t.mean +. (delta /. float_of_int t.n);
-  t.m2 <- t.m2 +. (delta *. (x -. t.mean));
-  if x < t.mn then t.mn <- x;
-  if x > t.mx then t.mx <- x
-
-let count t = t.n
-let mean t = if t.n = 0 then 0. else t.mean
-let total t = t.sum
-let min t = t.mn
-let max t = t.mx
-let stddev t = if t.n < 2 then 0. else sqrt (t.m2 /. float_of_int (t.n - 1))
-
-let merge a b =
-  if a.n = 0 then { b with n = b.n }
-  else if b.n = 0 then { a with n = a.n }
-  else begin
-    let n = a.n + b.n in
-    let delta = b.mean -. a.mean in
-    let mean = a.mean +. (delta *. float_of_int b.n /. float_of_int n) in
-    let m2 =
-      a.m2 +. b.m2
-      +. (delta *. delta *. float_of_int a.n *. float_of_int b.n /. float_of_int n)
-    in
-    { n; mean; m2;
-      mn = Stdlib.min a.mn b.mn;
-      mx = Stdlib.max a.mx b.mx;
-      sum = a.sum +. b.sum }
-  end
-
-let pp ppf t =
-  Format.fprintf ppf "n=%d mean=%.3f min=%.3f max=%.3f sd=%.3f"
-    t.n (mean t) t.mn t.mx (stddev t)
-
 let percentile xs p =
   if Float.is_nan p || p < 0. || p > 100. then
     invalid_arg "Stats.percentile: p must be in [0, 100]";
@@ -54,8 +5,8 @@ let percentile xs p =
   if n = 0 then Float.nan
   else begin
     let sorted = Array.copy xs in
-    Array.sort Stdlib.compare sorted;
+    Array.sort compare sorted;
     let rank = int_of_float (ceil (p /. 100. *. float_of_int n)) in
-    let idx = Stdlib.max 0 (Stdlib.min (n - 1) (rank - 1)) in
+    let idx = max 0 (min (n - 1) (rank - 1)) in
     sorted.(idx)
   end

@@ -296,6 +296,22 @@ let test_serial_match_words_per_task () =
     Alcotest.failf "serial match allocates %.1f words per task (bound %.1f)" w
       max_match_words_per_task
 
+(* The telemetry cycle histogram holds wall time on every engine: a
+   serial run's recorded cycles cannot add up to more than the run's own
+   wall time (the serial engine's modeled makespan would, by far). *)
+let test_cycle_hist_is_wall_time () =
+  let open Psme_obs in
+  let cycle_ns () = Loghist.sum (Telemetry.cycle_hist Telemetry.global) in
+  let config = { Psme_soar.Agent.default_config with engine_mode = Engine.Serial_mode } in
+  let agent = Psme_workloads.Eight_puzzle.workload.Psme_workloads.Workload.make ~config () in
+  let h0 = cycle_ns () in
+  let t0 = Clock.now_ns () in
+  ignore (Psme_soar.Agent.run agent);
+  let wall = Clock.now_ns () - t0 in
+  let recorded = cycle_ns () - h0 in
+  if recorded > wall then
+    Alcotest.failf "cycle histogram recorded %d ns in a %d ns run" recorded wall
+
 let suite =
   [
     Alcotest.test_case "parallel engines match serial" `Quick test_parallel_matches_serial;
@@ -315,4 +331,6 @@ let suite =
     Alcotest.test_case "tasks for excised nodes are no-ops" `Quick test_excised_node_tasks;
     Alcotest.test_case "serial match words per task" `Quick
       test_serial_match_words_per_task;
+    Alcotest.test_case "cycle histogram holds wall time" `Quick
+      test_cycle_hist_is_wall_time;
   ]

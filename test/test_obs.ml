@@ -1,8 +1,7 @@
 (* Unit tests for the observability layer: the JSON writer/validator,
-   the metrics registry, the event tracer's ring buffer, the Chrome
-   trace exporter, the per-node/per-production profiler and the
-   critical-path analyzer — plus the [Cycle.to_json] field-name
-   contract. *)
+   the event tracer's ring buffer, the Chrome trace exporter, the
+   per-node/per-production profiler and the critical-path analyzer —
+   plus the [Cycle.to_json] field-name contract. *)
 
 open Psme_ops5
 open Psme_obs
@@ -42,39 +41,6 @@ let test_json_validate () =
   bad "[1 2]";
   bad {|"unterminated|};
   bad "[1] trailing"
-
-(* --- metrics ------------------------------------------------------------- *)
-
-let test_metrics_registry () =
-  let r = Metrics.create () in
-  let c = Metrics.counter r "a.count" in
-  Metrics.incr c;
-  Metrics.add c 4;
-  Alcotest.(check int) "counter value" 5 (Metrics.value c);
-  Metrics.observe r "a.gauge" 2.;
-  Metrics.observe r "a.gauge" 6.;
-  Metrics.set_probe r "a.probe" (fun () -> 42.);
-  let snap = Metrics.snapshot r in
-  let get name = List.assoc name snap in
-  Alcotest.(check (float 0.)) "counter in snapshot" 5. (get "a.count");
-  Alcotest.(check (float 0.)) "gauge count" 2. (get "a.gauge.count");
-  Alcotest.(check (float 1e-9)) "gauge mean" 4. (get "a.gauge.mean");
-  Alcotest.(check (float 0.)) "gauge total" 8. (get "a.gauge.total");
-  Alcotest.(check (float 0.)) "probe sampled" 42. (get "a.probe");
-  Alcotest.(check bool) "sorted by name" true
-    (List.sort compare snap = snap);
-  (* same-name lookups share state; delta meters a region *)
-  Metrics.incr (Metrics.counter r "a.count");
-  let snap' = Metrics.snapshot r in
-  Alcotest.(check (float 0.)) "delta" 1.
-    (List.assoc "a.count" (Metrics.delta ~before:snap ~after:snap'));
-  Alcotest.(check bool) "json validates" true
-    (Result.is_ok (Json.validate (Metrics.to_json snap')));
-  Metrics.reset r;
-  Alcotest.(check (float 0.)) "reset zeroes counters" 0.
-    (List.assoc "a.count" (Metrics.snapshot r));
-  Alcotest.(check (float 0.)) "probes survive reset" 42.
-    (List.assoc "a.probe" (Metrics.snapshot r))
 
 (* --- tracer ring ---------------------------------------------------------- *)
 
@@ -496,7 +462,6 @@ let suite =
   [
     Alcotest.test_case "json writer" `Quick test_json_writer;
     Alcotest.test_case "json validator" `Quick test_json_validate;
-    Alcotest.test_case "metrics registry" `Quick test_metrics_registry;
     Alcotest.test_case "trace ring buffer" `Quick test_trace_ring;
     Alcotest.test_case "chrome trace valid" `Quick test_chrome_trace_valid;
     Alcotest.test_case "profile totals = serial time" `Quick test_profile_totals_match_serial;

@@ -427,19 +427,6 @@ let prop_histogram_total =
       in
       abs_float (total -. 1.) < 1e-9 && Histogram.count h = List.length xs)
 
-let prop_stats_merge_consistent =
-  QCheck.Test.make ~count:200 ~name:"stats merge = stats of concatenation"
-    QCheck.(pair (list (float_bound_inclusive 100.)) (list (float_bound_inclusive 100.)))
-    (fun (xs, ys) ->
-      let a = Stats.create () and b = Stats.create () and c = Stats.create () in
-      List.iter (Stats.add a) xs;
-      List.iter (Stats.add b) ys;
-      List.iter (Stats.add c) (xs @ ys);
-      let m = Stats.merge a b in
-      Stats.count m = Stats.count c
-      && abs_float (Stats.mean m -. Stats.mean c) < 1e-6
-      && abs_float (Stats.total m -. Stats.total c) < 1e-6)
-
 let prop_parse_print_roundtrip =
   QCheck.Test.make ~count:100 ~name:"pretty-printed productions re-parse identically"
     arb_productions
@@ -542,7 +529,6 @@ let suite =
       prop_event_queue_sorted;
       prop_token_permute_roundtrip;
       prop_histogram_total;
-      prop_stats_merge_consistent;
       prop_parse_print_roundtrip;
       prop_lexer_total;
       prop_single_line_memory_equivalent;

@@ -535,6 +535,20 @@ let test_token_ops () =
   Alcotest.(check bool) "concat" true
     (Token.equal (Token.concat (Token.prefix t 1) (Token.suffix t 1)) t)
 
+(* Nothing process-wide may keep a network's memories alive once the
+   network is dropped: build one in a helper that hands back only a
+   weak pointer to its [mem], so no stack slot of the test holds it. *)
+let[@inline never] weak_network_memory () =
+  let _, net = network_of graspable_src in
+  let w = Weak.create 1 in
+  Weak.set w 0 (Some net.Network.mem);
+  w
+
+let test_dropped_network_memory_collected () =
+  let w = weak_network_memory () in
+  Gc.full_major ();
+  Alcotest.(check bool) "memory collected" false (Weak.check w 0)
+
 let suite =
   [
     Alcotest.test_case "basic match" `Quick test_basic_match;
@@ -570,4 +584,6 @@ let suite =
       test_raising_section_frees_lock;
     Alcotest.test_case "left access counters" `Quick test_left_access_counters;
     Alcotest.test_case "token operations" `Quick test_token_ops;
+    Alcotest.test_case "dropped network's memory is collected" `Quick
+      test_dropped_network_memory_collected;
   ]

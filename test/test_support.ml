@@ -130,24 +130,6 @@ let test_event_queue_interleaved () =
     (Event_queue.pop q);
   Alcotest.(check bool) "empty" true (Event_queue.is_empty q)
 
-let test_stats_welford () =
-  let s = Stats.create () in
-  List.iter (Stats.add s) [ 2.; 4.; 4.; 4.; 5.; 5.; 7.; 9. ];
-  Alcotest.(check (float 1e-9)) "mean" 5.0 (Stats.mean s);
-  Alcotest.(check (float 1e-6)) "stddev" 2.138089935 (Stats.stddev s);
-  Alcotest.(check (float 1e-9)) "min" 2.0 (Stats.min s);
-  Alcotest.(check (float 1e-9)) "max" 9.0 (Stats.max s)
-
-let test_stats_merge () =
-  let a = Stats.create () and b = Stats.create () and all = Stats.create () in
-  List.iter (Stats.add a) [ 1.; 2.; 3. ];
-  List.iter (Stats.add b) [ 10.; 20. ];
-  List.iter (Stats.add all) [ 1.; 2.; 3.; 10.; 20. ];
-  let m = Stats.merge a b in
-  Alcotest.(check int) "count" (Stats.count all) (Stats.count m);
-  Alcotest.(check (float 1e-9)) "mean" (Stats.mean all) (Stats.mean m);
-  Alcotest.(check (float 1e-6)) "stddev" (Stats.stddev all) (Stats.stddev m)
-
 let test_percentile_edges () =
   Alcotest.(check bool) "empty yields nan" true
     (Float.is_nan (Stats.percentile [||] 50.));
@@ -191,8 +173,6 @@ let suite =
     Alcotest.test_case "rng shuffle permutes" `Quick test_rng_shuffle_permutes;
     Alcotest.test_case "event queue order" `Quick test_event_queue_order;
     Alcotest.test_case "event queue interleaved" `Quick test_event_queue_interleaved;
-    Alcotest.test_case "stats welford" `Quick test_stats_welford;
-    Alcotest.test_case "stats merge" `Quick test_stats_merge;
     Alcotest.test_case "percentile edges" `Quick test_percentile_edges;
     Alcotest.test_case "histogram" `Quick test_histogram;
   ]
