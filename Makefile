@@ -2,7 +2,7 @@
 # must pass. Formatting is checked only when ocamlformat is installed
 # (the CI format job is advisory too).
 
-.PHONY: all build test fmt lint analyze verify attribute check bench bench-json bench-quick bench-gate bench-smoke clean
+.PHONY: all build test fmt lint analyze verify attribute check bench bench-smoke clean
 
 all: build
 
@@ -44,24 +44,9 @@ attribute:
 
 check: build test fmt lint analyze verify attribute
 
+# Layer micro-benchmarks (Bechamel, ns/run; prints numbers, gates nothing)
 bench:
 	dune exec bench/main.exe
-
-# Full machine-readable run (the BENCH_*.json trajectory; see README)
-bench-json:
-	dune exec bench/main.exe -- --json bench.json
-
-# Abbreviated run for CI artifacts
-bench-quick:
-	dune exec bench/main.exe -- --quick --json bench-quick.json
-
-# Perf gate against the committed baseline (section geomeans, 15%
-# tolerance; exit 0 pass / 1 regression / 2 baseline unreadable).
-# Override the baseline for a same-machine comparison:
-#   make bench-gate GATE_BASELINE=my-baseline.json
-GATE_BASELINE ?= BENCH_PR9.json
-bench-gate:
-	dune exec bench/main.exe -- --gate $(GATE_BASELINE)
 
 # Benchmark smoke: a short traced pass of every soarbench workload. The
 # output checks (chunk sets, derivations, alert counts, parallel-vs-serial

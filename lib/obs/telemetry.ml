@@ -412,8 +412,8 @@ let hist_json h =
     ]
 
 (* Field names below are a stable contract (frozen by an expect-test):
-   tools parse `soar_cli telemetry --json` and the bench --gate
-   telemetry section with them. *)
+   tools parse `soar_cli telemetry --json` and `soar_cli profile --json`
+   with them. *)
 let to_json t =
   let phase_obj p =
     let a = t.phase_accs.(phase_index p) in

@@ -296,6 +296,47 @@ let test_serial_match_words_per_task () =
     Alcotest.failf "serial match allocates %.1f words per task (bound %.1f)" w
       max_match_words_per_task
 
+(* Minor words per elaboration cycle for every phase of a serial
+   learning run. Minor words are deterministic (match wobbles by <0.1%
+   with the symbol-table state earlier tests leave), so each (workload,
+   phase) pair fails at 5% over the value measured in this suite on
+   OCaml 5.1.1; the test prints what it measures. *)
+let phase_words_budget =
+  [
+    ( Psme_workloads.Eight_puzzle.workload,
+      [ ("match", 13355.0); ("conflict-resolution", 891.2); ("act", 38540.2);
+        ("chunk-splice", 15634.6) ] );
+    ( Psme_workloads.Strips.workload,
+      [ ("match", 38260.1); ("conflict-resolution", 724.9); ("act", 6928.4);
+        ("chunk-splice", 7914.4) ] );
+    ( Psme_workloads.Cypress.workload,
+      [ ("match", 108013.6); ("conflict-resolution", 971.8); ("act", 5988.9);
+        ("chunk-splice", 29518.4) ] );
+  ]
+
+let test_phase_words_per_cycle () =
+  let open Psme_obs in
+  let snapshot () = Telemetry.snapshot_kv Telemetry.global in
+  List.iter
+    (fun ((w : Psme_workloads.Workload.t), budget) ->
+      let name = w.Psme_workloads.Workload.name in
+      let agent = w.Psme_workloads.Workload.make () in
+      let before = snapshot () in
+      let cycles = (Psme_soar.Agent.run agent).Psme_soar.Agent.elab_cycles in
+      let after = snapshot () in
+      List.iter
+        (fun (phase, measured) ->
+          let key = "telemetry.phase." ^ phase ^ ".minor_words" in
+          let words =
+            (List.assoc key after -. List.assoc key before) /. float_of_int cycles
+          in
+          Printf.eprintf "%s %s words per cycle: %.1f\n%!" name phase words;
+          if words > 1.05 *. measured then
+            Alcotest.failf "%s %s allocates %.1f words per cycle (measured %.1f, bound +5%%)"
+              name phase words measured)
+        budget)
+    phase_words_budget
+
 (* The telemetry cycle histogram holds wall time on every engine: a
    serial run's recorded cycles cannot add up to more than the run's own
    wall time (the serial engine's modeled makespan would, by far). *)
@@ -333,4 +374,5 @@ let suite =
       test_serial_match_words_per_task;
     Alcotest.test_case "cycle histogram holds wall time" `Quick
       test_cycle_hist_is_wall_time;
+    Alcotest.test_case "per-phase words per cycle" `Quick test_phase_words_per_cycle;
   ]

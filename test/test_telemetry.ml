@@ -1,7 +1,7 @@
 (* Tests for the always-on telemetry layer: the log-scale histogram,
    the zero-allocation contract of the record path, exclusive GC/phase
    attribution, the frozen JSON field names, the binary event-stream
-   codec, the JSON parser, and the perf gate's verdict logic. *)
+   codec and the JSON parser. *)
 
 open Psme_obs
 
@@ -150,8 +150,8 @@ let test_telemetry_json_golden () =
     Alcotest.(check bool) (String.concat "." path ^ " present") true
       (node <> None)
   in
-  (* the contract consumed by soar_cli telemetry --json and bench --gate;
-     renaming any of these is a breaking change *)
+  (* the contract consumed by soar_cli telemetry --json and profile
+     --json; renaming any of these is a breaking change *)
   Alcotest.(check bool) "schema" true
     (Json.member "schema" doc = Some (Json.Str "psme-telemetry/1"));
   List.iter has
@@ -333,117 +333,6 @@ let test_json_parse_tree () =
   Alcotest.(check bool) "to_float_opt str" true
     (Json.to_float_opt (Json.Str "3") = None)
 
-(* --- perf gate ----------------------------------------------------------- *)
-
-let bench_doc ~e2e_cps ~micro_ns =
-  Json.Obj
-    [
-      ("schema", Json.Str "psme-bench/1");
-      ( "e2e",
-        Json.List
-          [
-            Json.Obj
-              [
-                ("workload", Json.Str "eight-puzzle");
-                ("variant", Json.Str "compiled");
-                ("cycles_per_sec", Json.Float e2e_cps);
-              ];
-          ] );
-      ( "micro",
-        Json.List
-          (List.mapi
-             (fun i ns ->
-               Json.Obj
-                 [
-                   ("name", Json.Str (Printf.sprintf "bench-%d" i));
-                   ("ns_per_run", Json.Float ns);
-                 ])
-             micro_ns) );
-      ( "speedup",
-        Json.List
-          [
-            Json.Obj
-              [
-                ("workload", Json.Str "eight-puzzle");
-                ("queues", Json.Str "multi");
-                ( "points",
-                  Json.List
-                    [
-                      Json.Obj
-                        [ ("procs", Json.Int 4); ("speedup", Json.Float 3.1) ];
-                    ] );
-              ];
-          ] );
-      ("telemetry", Json.Obj [ ("minor_words_per_cycle", Json.Float 90_000.) ]);
-    ]
-
-let test_perf_gate_verdicts () =
-  let base = bench_doc ~e2e_cps:900. ~micro_ns:[ 100.; 200.; 300. ] in
-  (* identical documents pass with geomean 1.0 *)
-  let v = Psme_harness.Perf_gate.compare_docs ~baseline:base ~current:base () in
-  Alcotest.(check bool) "identical passes" true v.Psme_harness.Perf_gate.v_passed;
-  Alcotest.(check int) "exit 0" 0 (Psme_harness.Perf_gate.exit_code v);
-  List.iter
-    (fun s ->
-      Alcotest.(check (float 1e-9))
-        ("geomean 1.0 for " ^ s.Psme_harness.Perf_gate.s_section)
-        1.0 s.Psme_harness.Perf_gate.s_geomean)
-    v.Psme_harness.Perf_gate.v_sections;
-  (* a uniform 20% micro regression trips the 15% band *)
-  let slow = bench_doc ~e2e_cps:900. ~micro_ns:[ 120.; 240.; 360. ] in
-  let v = Psme_harness.Perf_gate.compare_docs ~baseline:base ~current:slow () in
-  Alcotest.(check bool) "20% regression fails" false v.Psme_harness.Perf_gate.v_passed;
-  Alcotest.(check int) "exit 1" 1 (Psme_harness.Perf_gate.exit_code v);
-  (* one outlier that leaves the section geomean inside the band is
-     advisory only (1.3^(1/3) = 1.09 < 1.15) *)
-  let outlier = bench_doc ~e2e_cps:900. ~micro_ns:[ 130.; 200.; 300. ] in
-  let v = Psme_harness.Perf_gate.compare_docs ~baseline:base ~current:outlier () in
-  Alcotest.(check bool) "single outlier passes" true v.Psme_harness.Perf_gate.v_passed;
-  Alcotest.(check bool) "outlier is advisory" true
-    (List.exists
-       (fun c -> c.Psme_harness.Perf_gate.c_name = "bench-0")
-       v.Psme_harness.Perf_gate.v_advisories);
-  (* e2e is oriented: fewer cycles/sec is worse *)
-  let slower_e2e = bench_doc ~e2e_cps:700. ~micro_ns:[ 100.; 200.; 300. ] in
-  let v = Psme_harness.Perf_gate.compare_docs ~baseline:base ~current:slower_e2e () in
-  Alcotest.(check bool) "e2e slowdown fails" false v.Psme_harness.Perf_gate.v_passed;
-  (* ...and a faster current tree passes with geomean < 1 *)
-  let v = Psme_harness.Perf_gate.compare_docs ~baseline:slower_e2e ~current:base () in
-  Alcotest.(check bool) "speedup passes" true v.Psme_harness.Perf_gate.v_passed;
-  (* benchmarks only in one document are ignored, not errors *)
-  let fewer = bench_doc ~e2e_cps:900. ~micro_ns:[ 100. ] in
-  let v = Psme_harness.Perf_gate.compare_docs ~baseline:base ~current:fewer () in
-  Alcotest.(check bool) "shrunken suite passes" true v.Psme_harness.Perf_gate.v_passed;
-  Alcotest.(check bool) "tolerance validated" true
-    (try
-       ignore (Psme_harness.Perf_gate.compare_docs ~tolerance:1.5 ~baseline:base ~current:base ());
-       false
-     with Invalid_argument _ -> true)
-
-let test_perf_gate_doc_of_string () =
-  let plain = Json.to_string (bench_doc ~e2e_cps:900. ~micro_ns:[ 100. ]) in
-  Alcotest.(check bool) "psme-bench/1 accepted" true
-    (Result.is_ok (Psme_harness.Perf_gate.doc_of_string plain));
-  let compare_doc =
-    Printf.sprintf {|{"schema": "psme-bench-compare/1", "before": {}, "after": %s}|}
-      plain
-  in
-  (match Psme_harness.Perf_gate.doc_of_string compare_doc with
-  | Ok doc ->
-    Alcotest.(check bool) "compare doc unwraps after" true
-      (Json.member "schema" doc = Some (Json.Str "psme-bench/1"))
-  | Error e -> Alcotest.failf "compare doc rejected: %s" e);
-  List.iter
-    (fun (name, src) ->
-      Alcotest.(check bool) (name ^ " rejected") true
-        (Result.is_error (Psme_harness.Perf_gate.doc_of_string src)))
-    [
-      ("not json", "nope");
-      ("unknown schema", {|{"schema": "psme-bench/99"}|});
-      ("missing schema", "{}");
-      ("compare without after", {|{"schema": "psme-bench-compare/1"}|});
-    ]
-
 let suite =
   [
     Alcotest.test_case "loghist basics" `Quick test_loghist_basics;
@@ -459,6 +348,4 @@ let suite =
     Alcotest.test_case "stream decode errors" `Quick test_stream_decode_errors;
     Alcotest.test_case "stream file roundtrip" `Quick test_stream_file_roundtrip;
     Alcotest.test_case "json parse tree" `Quick test_json_parse_tree;
-    Alcotest.test_case "perf gate verdicts" `Quick test_perf_gate_verdicts;
-    Alcotest.test_case "perf gate doc_of_string" `Quick test_perf_gate_doc_of_string;
   ]
