@@ -2,7 +2,7 @@
 # must pass. Formatting is checked only when ocamlformat is installed
 # (the CI format job is advisory too).
 
-.PHONY: all build test fmt lint analyze verify attribute check bench bench-smoke clean
+.PHONY: all build test fmt lint analyze verify profile-json attribute check bench bench-smoke clean
 
 all: build
 
@@ -34,6 +34,10 @@ verify:
 	dune exec bin/soar_cli.exe -- check --workload all
 	dune exec bin/soar_cli.exe -- races --engine sim
 
+# The profile's JSON export (the psme-telemetry/1 schema) must parse.
+profile-json:
+	bash -o pipefail -c 'dune exec bin/soar_cli.exe -- profile eight-puzzle --json | python3 -m json.tool > /dev/null'
+
 # Speedup-loss attribution gate: the four ledger components must sum
 # to the measured ideal-vs-achieved gap on every cycle (the command
 # exits 1 on any invariant violation).
@@ -42,7 +46,7 @@ attribute:
 	dune exec bin/soar_cli.exe -- attribute --workload cypress --procs 11 > /dev/null
 	dune exec bin/soar_cli.exe -- attribute --workload eight-puzzle --procs 11 > /dev/null
 
-check: build test fmt lint analyze verify attribute
+check: build test fmt lint analyze verify profile-json attribute bench-smoke bench
 
 # Layer micro-benchmarks (Bechamel, ns/run; prints numbers, gates nothing)
 bench:

@@ -305,13 +305,26 @@ let figure_6_10 () =
         workloads;
   }
 
-let cycle_histogram stats =
-  let h = Histogram.create ~bucket_width:25. ~buckets:48 in
+let tasks_histogram tasks =
+  let width = 25 and buckets = 48 in
+  let counts = Array.make buckets 0 in
   List.iter
-    (fun (s : Cycle.stats) ->
-      if s.Cycle.tasks > 0 then Histogram.add h (float_of_int s.Cycle.tasks))
-    stats;
-  h
+    (fun n ->
+      let i = min (n / width) (buckets - 1) in
+      counts.(i) <- counts.(i) + 1)
+    tasks;
+  let total = List.length tasks in
+  List.init buckets (fun i ->
+      let share =
+        if total = 0 then 0. else float_of_int counts.(i) /. float_of_int total
+      in
+      (float_of_int (i * width), float_of_int ((i + 1) * width), counts.(i), share))
+
+let cycle_histogram stats =
+  tasks_histogram
+    (List.filter_map
+       (fun (s : Cycle.stats) -> if s.Cycle.tasks > 0 then Some s.Cycle.tasks else None)
+       stats)
 
 let figure_6_11 () =
   let rd = run Eight_puzzle.workload Without (sim 11) in
@@ -485,6 +498,13 @@ let future_io_rate () =
 
 (* --- rendering -------------------------------------------------------------- *)
 
+let pp_histogram ppf rows =
+  List.iter
+    (fun (lo, hi, n, share) ->
+      let bar = String.make (int_of_float (share *. 50.)) '#' in
+      Format.fprintf ppf "  [%6.0f,%6.0f) %6d %5.1f%% %s@." lo hi n (100. *. share) bar)
+    rows
+
 let pp_speedup_figure ppf fig =
   Format.fprintf ppf "@.== %s: %s ==@." fig.fig_name fig.fig_title;
   List.iter
@@ -549,9 +569,9 @@ let print_all ppf =
   pp_speedup_figure ppf (figure_6_9 ());
   pp_speedup_figure ppf (figure_6_10 ());
   Format.fprintf ppf "@.== figure-6-11: Eight-Puzzle tasks/cycle, without chunking ==@.";
-  Histogram.pp () ppf (figure_6_11 ());
+  pp_histogram ppf (figure_6_11 ());
   Format.fprintf ppf "@.== figure-6-12: Eight-Puzzle tasks/cycle, after chunking ==@.";
-  Histogram.pp () ppf (figure_6_12 ());
+  pp_histogram ppf (figure_6_12 ());
   Format.fprintf ppf "@.== table-5-1: chunk sizes ==@.";
   List.iter
     (fun r ->
@@ -662,12 +682,12 @@ let markdown_report () =
   dump_fig (figure_6_10 ());
   pr
     "\nPaper shape: after chunking, Eight-Puzzle gains most (~10x at 13 procs); Cypress's after run is very short.\n";
-  let dump_hist name h =
+  let dump_hist name rows =
     pr "\n## %s — tasks/cycle histogram\n\n| bucket | share |\n|---|---|\n" name;
     List.iter
       (fun (lo, hi, n, frac) ->
         if n > 0 then pr "| %.0f-%.0f | %.1f%% |\n" lo hi (100. *. frac))
-      (Histogram.rows h)
+      rows
   in
   dump_hist "figure-6-11 (without chunking)" (figure_6_11 ());
   dump_hist "figure-6-12 (after chunking)" (figure_6_12 ());

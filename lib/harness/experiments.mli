@@ -7,9 +7,6 @@
     (see {!Psme_engine.Sim}); uniprocessor times are the cost model's
     microseconds over the real task stream. *)
 
-open Psme_support
-
-
 type chunking_mode =
   | Without  (** learning off (Figures 6-1/6-4, Table 6-1) *)
   | During   (** learning on (Tables 5-1/5-2, Figure 6-9) *)
@@ -71,10 +68,15 @@ val figure_6_9 : unit -> speedup_figure
 val figure_6_10 : unit -> speedup_figure
 (** Speedups after chunking. *)
 
-val figure_6_11 : unit -> Histogram.t
+val tasks_histogram : int list -> (float * float * int * float) list
+(** The tasks/cycle binning of Figures 6-11/6-12: [(lo, hi, count, share)]
+    for 48 buckets of 25 tasks, in order. Counts must be non-negative;
+    1200 and above land in the last bucket. *)
+
+val figure_6_11 : unit -> (float * float * int * float) list
 (** Eight-Puzzle tasks/cycle distribution, without chunking. *)
 
-val figure_6_12 : unit -> Histogram.t
+val figure_6_12 : unit -> (float * float * int * float) list
 (** Same, after chunking: the mass moves right. *)
 
 type t51_row = {

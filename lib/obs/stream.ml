@@ -41,9 +41,6 @@ let by_cycle (events : Trace.event array) =
   Hashtbl.fold (fun c evs acc -> (c, Array.of_list (List.rev evs)) :: acc) tbl []
   |> List.sort (fun (a, _) (b, _) -> compare a b)
 
-let iter_kind kind f events =
-  Array.iter (fun (e : Trace.event) -> if e.Trace.kind = kind then f e) events
-
 let procs (events : Trace.event array) =
   let seen = Hashtbl.create 8 in
   Array.iter (fun (e : Trace.event) -> Hashtbl.replace seen e.Trace.proc ()) events;

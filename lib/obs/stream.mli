@@ -34,8 +34,6 @@ val by_cycle : Trace.event array -> (int * Trace.event array) list
     Task serial numbers restart every episode, so happens-before graphs
     must be built per cycle; cycles themselves are barrier-ordered. *)
 
-val iter_kind : Trace.kind -> (Trace.event -> unit) -> Trace.event array -> unit
-
 val procs : Trace.event array -> int list
 (** Distinct [proc] values appearing in the stream, ascending. Includes
     [-1] (the control process) when present. *)

@@ -83,7 +83,6 @@ type t = {
       (* amem id -> the class and test chain that feeds it (analysis
          introspection; the walk itself never consults this) *)
   mutable n_nodes : int;
-  mutable activations : int;
 }
 
 and root = {
@@ -111,7 +110,7 @@ let level_find lvl test =
 
 let create ~alloc_id =
   { alloc_id; roots = Hashtbl.create 64; mems = Hashtbl.create 64;
-    chains = Hashtbl.create 64; n_nodes = 0; activations = 0 }
+    chains = Hashtbl.create 64; n_nodes = 0 }
 
 let get_root t cls =
   match Hashtbl.find_opt t.roots cls with
@@ -204,7 +203,6 @@ let matching_amems t w f =
       end
     in
     walk root.top_children);
-  t.activations <- t.activations + !count;
   !count
 
 let successors t ~amem = (Hashtbl.find t.mems amem).succs
@@ -214,10 +212,7 @@ let amems t =
 
 let amem_exists t amem = Hashtbl.mem t.mems amem
 
-let chain_of t ~amem = Hashtbl.find_opt t.chains amem
-
 let iter_chains t f =
   Hashtbl.iter (fun mid (cls, tests) -> f ~amem:mid ~cls ~tests) t.chains
 
 let node_count t = t.n_nodes
-let stats_activations t = t.activations

@@ -70,17 +70,12 @@ val amems : t -> int list
 
 val amem_exists : t -> int -> bool
 
-val chain_of : t -> amem:int -> (Sym.t * atest list) option
-(** The class and (canonicalized) constant-test chain feeding an alpha
-    memory — what a wme must satisfy to reach it. Analysis
-    introspection: the static analyzer abstract-interprets this chain to
-    find memories no wme can ever reach. *)
-
 val iter_chains : t -> (amem:int -> cls:Sym.t -> tests:atest list -> unit) -> unit
-(** {!chain_of} over every alpha memory, in no particular order. *)
+(** The class and (canonicalized) constant-test chain feeding each alpha
+    memory — what a wme must satisfy to reach it — in no particular
+    order. Analysis introspection: the static analyzer
+    abstract-interprets these chains to find memories no wme can ever
+    reach. *)
 
 val node_count : t -> int
 (** Constant-test nodes + alpha memories currently in the network. *)
-
-val stats_activations : t -> int
-(** Cumulative constant-test activations. *)

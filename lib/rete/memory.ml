@@ -148,7 +148,6 @@ let create ?(lines = 512) () =
     hist = Hashtbl.create 64;
   }
 
-let line_count t = Array.length t.lines
 let line_of t ~khash = khash land t.mask
 
 let lock t ~line =

@@ -54,7 +54,6 @@ type t
 val create : ?lines:int -> unit -> t
 (** [lines] defaults to 512 and is rounded up to a power of two. *)
 
-val line_count : t -> int
 val line_of : t -> khash:int -> int
 
 val lock : t -> line:int -> unit

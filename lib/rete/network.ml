@@ -127,8 +127,6 @@ let iter_nodes t f = Hashtbl.iter (fun _ n -> f n) t.beta
 
 let fold_nodes t ~init ~f = Hashtbl.fold (fun _ n acc -> f acc n) t.beta init
 
-let successor_array n = n.succs
-
 let successors n = Array.to_list n.succs
 
 let add_successor t ~of_ ~node:nid ~port =
@@ -264,10 +262,6 @@ let pinfo_of t name =
     match (node t pm.pnode).kind with
     | Pnode pi -> pi
     | _ -> assert false)
-
-let binding_value pi tok var =
-  let slot, fld = List.assoc var pi.bindings in
-  Token.field tok ~slot ~fld
 
 let bindings_of t name tok =
   let pi = pinfo_of t name in

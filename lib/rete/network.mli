@@ -124,10 +124,6 @@ val fold_nodes : t -> init:'a -> f:('a -> node -> 'a) -> 'a
 val successors : node -> (int * port) list
 (** In registration order. *)
 
-val successor_array : node -> (int * port) array
-(** The fan-out array itself (immutable; do not mutate). The hot path's
-    view of {!successors}. *)
-
 val add_successor : t -> of_:int -> node:int -> port:port -> unit
 val remove_successor : t -> of_:int -> node:int -> unit
 
@@ -158,6 +154,3 @@ val btests_hold : binary -> Token.t -> Token.t -> bool
 
 val bindings_of : t -> Sym.t -> Token.t -> (string * Value.t) list
 (** Variable values of an instantiation of the named production. *)
-
-val binding_value : pinfo -> Token.t -> string -> Value.t
-(** Value of one variable; raises [Not_found] for unknown variables. *)

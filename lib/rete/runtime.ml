@@ -31,7 +31,6 @@ let accesses o =
    unlocked). Never enable outside analysis tests. *)
 let elide = ref false
 let set_lock_elision b = elide := b
-let lock_elision () = !elide
 
 (* Every exec section is bracketed by [enter]/[leave] and releases the
    lock on the exceptional path too:
@@ -494,14 +493,3 @@ let replay_parent net ~parent ~child ~port =
   | Ncc_partner _ | Pnode _ ->
     invalid_arg "Runtime.replay_parent: node kind stores no replayable output");
   List.rev !out
-
-let excess_cross_products net =
-  let total = ref 0 in
-  Hashtbl.iter
-    (fun _ n ->
-      match n.kind with
-      | Bjoin _ ->
-        Memory.iter_node_left net.mem ~node:n.id (fun _ -> incr total)
-      | _ -> ())
-    net.beta;
-  !total

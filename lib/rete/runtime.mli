@@ -74,8 +74,6 @@ val set_lock_elision : bool -> unit
     critical sections skip the line lock and report their accesses with
     [acc_locked = false]. Process-wide; reset to [false] after use. *)
 
-val lock_elision : unit -> bool
-
 val iter_seeds :
   ?min_node_id:int -> Network.t -> Task.flag -> Wme.t -> (Task.t -> unit) -> int
 (** Run the alpha (constant-test) network for one wme change, applying
@@ -94,7 +92,3 @@ val replay_parent :
 (** "Specially execute" an existing node: recompute its stored output
     tokens from its memory state and address them to exactly one (new)
     successor — the last-shared-node step of the §5.2 update. *)
-
-val excess_cross_products : Network.t -> int
-(** Diagnostic: total left-store entries across Bjoin nodes (state kept
-    by bilinear networks beyond what a linear network stores). *)

@@ -1,9 +1,6 @@
 open Psme_ops5
 
-let last_alpha = ref 0
-
 let batch_tasks net wm ~first_new ~new_nodes =
-  last_alpha := 0;
   if new_nodes = [] then []
   else begin
     let tasks = ref [] in
@@ -32,8 +29,7 @@ let batch_tasks net wm ~first_new ~new_nodes =
        delivered only to new nodes. *)
     Wm.iter
       (fun w ->
-        let seeded, acts = Runtime.seed_wme_change ~min_node_id:first_new net Task.Add w in
-        last_alpha := !last_alpha + acts;
+        let seeded, _ = Runtime.seed_wme_change ~min_node_id:first_new net Task.Add w in
         tasks := List.rev_append seeded !tasks)
       wm;
     List.rev !tasks
@@ -52,5 +48,3 @@ let update_tasks_batch net wm results =
     in
     let new_nodes = List.concat_map (fun r -> r.Build.new_beta_nodes) results in
     batch_tasks net wm ~first_new ~new_nodes
-
-let alpha_activations_of_last_update () = !last_alpha

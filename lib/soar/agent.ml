@@ -105,7 +105,6 @@ let network t = t.net
 let engine t = t.eng
 let wm t = t.wm
 let top_goal t = (List.hd t.goals).gid
-let goal_depth t = List.length t.goals
 
 (* --- identifiers and levels ------------------------------------------ *)
 
@@ -726,8 +725,6 @@ let run t =
       match t.monitor with Some f -> f t.decisions | None -> ()
     end
   done;
-  let take n l = List.filteri (fun i _ -> i < List.length l - n) l in
-  ignore take;
   let since n l = List.rev l |> List.filteri (fun i _ -> i >= n) in
   {
     decisions = t.decisions - dec0;

@@ -83,8 +83,6 @@ val network : t -> Network.t
 val engine : t -> Engine.t
 val wm : t -> Wm.t
 val top_goal : t -> Sym.t
-val goal_depth : t -> int
-(** Current context-stack depth. *)
 
 val new_id : t -> string -> Sym.t
 (** Mint an identifier attached to the top goal (for initial state

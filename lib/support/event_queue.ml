@@ -54,9 +54,6 @@ let pop t =
     Some (top.time, top.payload)
   end
 
-let peek_time t =
-  if Vec.is_empty t.heap then None else Some (Vec.get t.heap 0).time
-
 let length t = Vec.length t.heap
 let is_empty t = Vec.is_empty t.heap
 let clear t = Vec.clear t.heap

@@ -10,7 +10,6 @@ val add : 'a t -> time:float -> 'a -> unit
 val pop : 'a t -> (float * 'a) option
 (** Earliest event, or [None] when empty. *)
 
-val peek_time : 'a t -> float option
 val length : 'a t -> int
 val is_empty : 'a t -> bool
 val clear : 'a t -> unit

@@ -84,13 +84,27 @@ let test_bilinear_report () =
     true
     (bl.Experiments.bl_bilinear_depth < bl.Experiments.bl_linear_depth)
 
+let test_tasks_histogram_buckets () =
+  let rows = Experiments.tasks_histogram [ 0; 10; 30; 70; 1199; 1200; 100_000 ] in
+  let count i = List.nth rows i |> fun (_, _, n, _) -> n in
+  Alcotest.(check int) "48 buckets" 48 (List.length rows);
+  Alcotest.(check int) "bucket 0" 2 (count 0);
+  Alcotest.(check int) "bucket 1" 1 (count 1);
+  Alcotest.(check int) "bucket 2" 1 (count 2);
+  Alcotest.(check int) "overflow lands in last" 3 (count 47);
+  let lo, hi, _, share = List.nth rows 3 in
+  Alcotest.(check (pair (float 0.) (float 0.))) "edges of bucket 3" (75., 100.) (lo, hi);
+  Alcotest.(check (float 1e-9)) "empty share" 0. share;
+  let _, _, _, share0 = List.hd rows in
+  Alcotest.(check (float 1e-9)) "share" (2. /. 7.) share0
+
 let test_histograms_shift_right () =
   (* Figure 6-11 vs 6-12: chunking moves cycle sizes right *)
   let mass_above h cut =
     List.fold_left
       (fun acc (lo, _, _, frac) -> if lo >= cut then acc +. frac else acc)
       0.
-      (Psme_support.Histogram.rows h)
+      h
   in
   let without = Experiments.figure_6_11 () in
   let after = Experiments.figure_6_12 () in
@@ -107,5 +121,6 @@ let suite =
     Alcotest.test_case "table 5-1 shapes" `Slow test_table_5_1_shapes;
     Alcotest.test_case "table 5-2 shapes" `Slow test_table_5_2_shapes;
     Alcotest.test_case "bilinear report" `Slow test_bilinear_report;
+    Alcotest.test_case "tasks/cycle histogram buckets" `Quick test_tasks_histogram_buckets;
     Alcotest.test_case "histograms shift right" `Slow test_histograms_shift_right;
   ]

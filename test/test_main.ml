@@ -8,7 +8,6 @@ let () =
       ("rete", Test_rete.suite);
       ("soar", Test_soar.suite);
       ("engine", Test_engine.suite);
-      ("ops5-loop", Test_ops5_loop.suite);
       ("workloads", Test_workloads.suite);
       ("future-work", Test_future_work.suite);
       ("harness", Test_harness.suite);

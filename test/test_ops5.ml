@@ -212,6 +212,21 @@ let test_production_validation () =
     Alcotest.fail "expected failure"
   with Parser.Parse_error _ -> ()
 
+let test_parse_remove_modify () =
+  let s = Fixtures.schema_with () in
+  let p =
+    Parser.parse_production s
+      "(p move (block ^name b1) (hand ^state free) --> (remove 1) (modify 1 block ^on b2))"
+  in
+  let block = (Production.positive_ce p 1).Cond.cls in
+  Alcotest.(check string) "CE 1 class" "block" (Sym.name block);
+  match p.Production.rhs with
+  | [ Action.Remove 1; Action.Modify (1, [ (f, _) ]) ] ->
+    Alcotest.(check int) "modify field resolved through CE 1's class"
+      (Schema.field_index s block (Sym.intern "on"))
+      f
+  | _ -> Alcotest.fail "expected [Remove 1; Modify (1, [on])]"
+
 let test_positive_ce_indexing () =
   let s = Fixtures.schema_with () in
   let p = Parser.parse_production s Fixtures.graspable_src in
@@ -263,6 +278,7 @@ let suite =
     Alcotest.test_case "parse sp conjunctive negation" `Quick test_parse_sp_negation_conjunctive;
     Alcotest.test_case "parse sp single negation" `Quick test_parse_sp_single_negation;
     Alcotest.test_case "production validation" `Quick test_production_validation;
+    Alcotest.test_case "parse remove/modify" `Quick test_parse_remove_modify;
     Alcotest.test_case "positive CE indexing" `Quick test_positive_ce_indexing;
     Alcotest.test_case "relation evaluation" `Quick test_cond_eval_relation;
     Alcotest.test_case "nested NCC CE count" `Quick test_count_ces_nested;

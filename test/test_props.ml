@@ -418,14 +418,12 @@ let prop_token_permute_roundtrip =
 
 let prop_histogram_total =
   QCheck.Test.make ~count:200 ~name:"histogram fractions sum to 1"
-    QCheck.(list_of_size (QCheck.Gen.int_range 1 50) (float_bound_inclusive 2000.))
+    QCheck.(list_of_size (QCheck.Gen.int_range 1 50) (int_bound 2000))
     (fun xs ->
-      let h = Histogram.create ~bucket_width:100. ~buckets:10 in
-      List.iter (Histogram.add h) xs;
-      let total =
-        List.fold_left (fun a (_, _, _, f) -> a +. f) 0. (Histogram.rows h)
-      in
-      abs_float (total -. 1.) < 1e-9 && Histogram.count h = List.length xs)
+      let rows = Psme_harness.Experiments.tasks_histogram xs in
+      let share = List.fold_left (fun a (_, _, _, f) -> a +. f) 0. rows in
+      let count = List.fold_left (fun a (_, _, n, _) -> a + n) 0 rows in
+      abs_float (share -. 1.) < 1e-9 && count = List.length xs)
 
 let prop_parse_print_roundtrip =
   QCheck.Test.make ~count:100 ~name:"pretty-printed productions re-parse identically"

@@ -282,6 +282,20 @@ let test_stall_detection () =
   Alcotest.(check bool) "stalled" true summary.Agent.stalled;
   Alcotest.(check bool) "not halted" false summary.Agent.halted
 
+let test_rejects_remove_action () =
+  (* The sp form rejects remove/modify at parse time; a p-form production
+     parses, and the agent refuses the action when it fires. *)
+  let schema = Schema.create () in
+  Agent.prepare_schema schema;
+  let prods =
+    Parser.productions schema
+      "(p bad*remove (goal ^attribute top-goal ^value yes) --> (remove 1))"
+  in
+  let agent = Agent.create schema prods in
+  Alcotest.check_raises "remove fires"
+    (Invalid_argument "production bad*remove: Soar productions only add wmes")
+    (fun () -> ignore (Agent.run agent))
+
 (* --- chunker unit tests ----------------------------------------------- *)
 
 let test_backtrace_grounds () =
@@ -373,6 +387,7 @@ let suite =
       test_chunk_transfer_avoids_impasse;
     Alcotest.test_case "update phase recorded" `Quick test_update_phase_recorded;
     Alcotest.test_case "stall detection" `Quick test_stall_detection;
+    Alcotest.test_case "remove action rejected" `Quick test_rejects_remove_action;
     Alcotest.test_case "backtrace grounds" `Quick test_backtrace_grounds;
     Alcotest.test_case "chunk build variablizes" `Quick test_chunk_build_variablizes;
     Alcotest.test_case "chunk canonical form" `Quick test_chunk_duplicate_canonical;

@@ -149,15 +149,6 @@ let test_percentile_edges () =
   rejects 100.5;
   rejects Float.nan
 
-let test_histogram () =
-  let h = Histogram.create ~bucket_width:25. ~buckets:4 in
-  List.iter (Histogram.add h) [ 0.; 10.; 30.; 70.; 1000. ];
-  Alcotest.(check int) "bucket 0" 2 (Histogram.samples_in h 0);
-  Alcotest.(check int) "bucket 1" 1 (Histogram.samples_in h 1);
-  Alcotest.(check int) "bucket 2" 1 (Histogram.samples_in h 2);
-  Alcotest.(check int) "overflow lands in last" 1 (Histogram.samples_in h 3);
-  Alcotest.(check (float 1e-9)) "fraction" 0.4 (Histogram.fraction_in h 0)
-
 let suite =
   [
     Alcotest.test_case "sym interning" `Quick test_sym_interning;
@@ -174,5 +165,4 @@ let suite =
     Alcotest.test_case "event queue order" `Quick test_event_queue_order;
     Alcotest.test_case "event queue interleaved" `Quick test_event_queue_interleaved;
     Alcotest.test_case "percentile edges" `Quick test_percentile_edges;
-    Alcotest.test_case "histogram" `Quick test_histogram;
   ]
