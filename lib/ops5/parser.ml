@@ -139,7 +139,9 @@ let parse_make_fields st cls =
   in
   pairs []
 
-let parse_action st =
+(* [lhs] is the rule's condition list: [modify] resolves its attributes
+   through the class of the CE it names. *)
+let parse_action st ~lhs =
   expect st Lexer.LPAREN "(";
   let kind = sym st in
   match kind with
@@ -155,13 +157,15 @@ let parse_action st =
     match peek st with
     | Lexer.INT i ->
       advance st;
-      (* Modify needs the class of the i-th CE to resolve attributes; the
-         caller's production isn't assembled yet, so we defer resolution:
-         store the pairs against a pseudo-class below. To keep the parser
-         single-pass we require the class name explicitly after the
-         index, e.g. (modify 1 block ^state graspable). *)
+      (* The class name follows the index, e.g. (modify 1 block ^state
+         graspable), and must be the i-th positive CE's: the attributes
+         are resolved to field indices of that class. *)
       let cls = Sym.intern (sym st) in
       if not (Schema.declared st.schema cls) then err st "undeclared class %a" Sym.pp cls;
+      (match List.nth_opt (Cond.positives lhs) (i - 1) with
+      | Some ce when not (Sym.equal ce.Cond.cls cls) ->
+        err st "modify %d names class %a, but CE %d is a %a" i Sym.pp cls i Sym.pp ce.Cond.cls
+      | Some _ | None -> ());
       [ Action.Modify (i, parse_make_fields st cls) ]
     | t -> err st "expected CE index, found %a" Lexer.pp_token t)
   | "write" ->
@@ -305,7 +309,7 @@ let parse_rule st ~sugar =
   let rec actions acc =
     if peek st = Lexer.RPAREN then (advance st; List.rev acc)
     else if sugar then actions (List.rev_append (parse_sugar_action st) acc)
-    else actions (List.rev_append (parse_action st) acc)
+    else actions (List.rev_append (parse_action st ~lhs) acc)
   in
   let rhs = actions [] in
   try Production.make ~name ~lhs ~rhs () with

@@ -2,7 +2,10 @@
 
     Owns timetag allocation. Engines receive wme {e changes}; this module
     is the bookkeeping behind them, shared by the OPS5 top level and the
-    Soar decide module. *)
+    Soar decide module.
+
+    Wmes are kept by timetag, which fixes the {!iter} order, and indexed
+    by contents, so {!find_same_contents} is one hash probe. *)
 
 open Psme_support
 
@@ -20,6 +23,9 @@ val add : t -> cls:Sym.t -> fields:Value.t array -> Wme.t
 val remove : t -> Wme.t -> unit
 (** Raises [Not_found] if the wme (by timetag) is not present. *)
 
+val last_timetag : t -> int
+(** The timetag of the most recent {!add} (0 before the first). *)
+
 val mem : t -> Wme.t -> bool
 val size : t -> int
 val iter : (Wme.t -> unit) -> t -> unit
@@ -27,7 +33,7 @@ val to_list : t -> Wme.t list
 (** In ascending timetag order. *)
 
 val find_same_contents : t -> cls:Sym.t -> fields:Value.t array -> Wme.t option
-(** An arbitrary present wme with these contents (for OPS5 [remove] of a
-    matched element and for duplicate suppression in Soar). *)
+(** The most recently added present wme with these contents (duplicate
+    suppression in Soar). *)
 
 val pp : Schema.t -> Format.formatter -> t -> unit

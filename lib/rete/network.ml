@@ -263,6 +263,4 @@ let pinfo_of t name =
     | Pnode pi -> pi
     | _ -> assert false)
 
-let bindings_of t name tok =
-  let pi = pinfo_of t name in
-  List.map (fun (v, (slot, fld)) -> (v, Token.field tok ~slot ~fld)) pi.bindings
+let binding_positions t name = (pinfo_of t name).bindings

@@ -152,5 +152,7 @@ val jtests_hold : two_input -> Token.t -> Wme.t -> bool
 
 val btests_hold : binary -> Token.t -> Token.t -> bool
 
-val bindings_of : t -> Sym.t -> Token.t -> (string * Value.t) list
-(** Variable values of an instantiation of the named production. *)
+val binding_positions : t -> Sym.t -> (string * (int * int)) list
+(** Where an instantiation of the named production binds each variable:
+    [(variable, (token slot, field))], token slots in CE order. Raises
+    [Not_found] for an unknown production. *)

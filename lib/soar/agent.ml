@@ -69,6 +69,34 @@ type pending_result = {
   pr_target_level : int;
 }
 
+(* Goal triples and preferences indexed by (goal, role): field 0 and
+   field 1 of the wme. Each key holds its present wmes by timetag. *)
+module Slot_key = Hashtbl.Make (struct
+  type t = Sym.t * Sym.t
+
+  let equal (g, r) (g', r') = Sym.equal g g' && Sym.equal r r'
+  let hash (g, r) = ((Sym.hash g * 31) + Sym.hash r) land max_int
+end)
+
+type slot_index = (int, Wme.t) Hashtbl.t Slot_key.t
+
+(* A production's RHS with its variables resolved to token positions
+   (PSM-E compiles the RHS too); built on the production's first firing. *)
+type rterm =
+  | Rconst of Value.t
+  | Rfield of int * int  (* token slot, field *)
+  | Rgensym of int  (* index into [gensym_prefixes]: one fresh id per firing *)
+
+type raction =
+  | Rmake of Sym.t * int * (int * rterm) array  (* class, arity, assignments *)
+  | Rwrite of rterm list
+  | Rhalt
+
+type rhs = {
+  actions : raction list;
+  gensym_prefixes : string array;
+}
+
 type t = {
   cfg : config;
   schema : Schema.t;
@@ -79,7 +107,14 @@ type t = {
   id_level : (Sym.t, int) Hashtbl.t;
   wme_level : (int, int) Hashtbl.t;  (* timetag -> attachment level *)
   creators : (int, Chunker.creator) Hashtbl.t;  (* timetag -> provenance *)
+  slots : slot_index;  (* goal triples *)
+  prefs : slot_index;  (* preferences *)
+  rhs : (Sym.t, rhs) Hashtbl.t;
   mutable pending : (Task.flag * Wme.t) list;  (* buffered cycle changes, reversed *)
+  mutable pending_from : int;
+      (* timetags from here on were added since the last [take_pending]:
+         their Add is still in [pending] *)
+  mutable cancelled : int;  (* Adds in [pending] cancelled by a removal *)
   mutable pending_results : pending_result list;
   mutable chunk_forms : (string, unit) Hashtbl.t;  (* canonical chunk dedup *)
   mutable chunk_count : int;
@@ -97,7 +132,13 @@ type t = {
 }
 
 let goal_cls = "goal"
-let roles = [ "problem-space"; "state"; "operator" ]
+let goal_sym = lazy (Sym.intern goal_cls)
+let pref_sym = lazy (Sym.intern Prefs.class_name)
+
+(* Lazy, like [goal_sym]: interning at module initialisation would
+   renumber every later symbol, and with them the memory-line layout
+   that test/golden pins. *)
+let roles = lazy (List.map Sym.intern [ "problem-space"; "state"; "operator" ])
 
 let config t = t.cfg
 let schema t = t.schema
@@ -124,7 +165,7 @@ let id_level t sym =
 (* The id a wme is attached to: field 0 of a triple-class wme, the goal
    field of a preference. *)
 let attachment_id t w =
-  if Sym.name w.Wme.cls = Prefs.class_name then
+  if Sym.equal w.Wme.cls (Lazy.force pref_sym) then
     match w.Wme.fields.(0) with Value.Sym g -> Some g | _ -> None
   else if Array.length w.Wme.fields = 3 then
     match w.Wme.fields.(0) with
@@ -144,6 +185,37 @@ let ensure_triple_class t cls =
   if not (Schema.declared t.schema c) then
     Schema.declare t.schema cls Parser.triple_fields
 
+let index_of t w =
+  if Sym.equal w.Wme.cls (Lazy.force goal_sym) then Some t.slots
+  else if Sym.equal w.Wme.cls (Lazy.force pref_sym) then Some t.prefs
+  else None
+
+let index_add t w =
+  match index_of t w, w.Wme.fields.(0), w.Wme.fields.(1) with
+  | Some index, Value.Sym g, Value.Sym r ->
+    let key = (g, r) in
+    let present =
+      match Slot_key.find_opt index key with
+      | Some present -> present
+      | None ->
+        let present = Hashtbl.create 4 in
+        Slot_key.add index key present;
+        present
+    in
+    Hashtbl.replace present w.Wme.timetag w
+  | _ -> ()
+
+let index_remove t w =
+  match index_of t w, w.Wme.fields.(0), w.Wme.fields.(1) with
+  | Some index, Value.Sym g, Value.Sym r -> (
+    let key = (g, r) in
+    match Slot_key.find_opt index key with
+    | Some present ->
+      Hashtbl.remove present w.Wme.timetag;
+      if Hashtbl.length present = 0 then Slot_key.remove index key
+    | None -> ())
+  | _ -> ()
+
 (* Add a wme unless an identical one is present (Soar WM is a set).
    [level] is the creation context's goal depth; the wme's level is its
    attachment id's level when that id is known. *)
@@ -153,7 +225,7 @@ let internal_add t ~cls ~fields ~level ~creator =
   | None ->
     let w = Wm.add t.wm ~cls ~fields in
     (* register a new identifier introduced in field 0 of a triple *)
-    (if Array.length fields = 3 && Sym.name cls <> Prefs.class_name then
+    (if Array.length fields = 3 && not (Sym.equal cls (Lazy.force pref_sym)) then
        match fields.(0) with
        | Value.Sym s -> register_id t s level
        | _ -> ());
@@ -166,6 +238,7 @@ let internal_add t ~cls ~fields ~level ~creator =
     (match creator with
     | Some c -> Hashtbl.replace t.creators w.Wme.timetag c
     | None -> ());
+    index_add t w;
     t.pending <- (Task.Add, w) :: t.pending;
     Some (w, lvl)
 
@@ -174,14 +247,29 @@ let internal_remove t w =
     Wm.remove t.wm w;
     Hashtbl.remove t.wme_level w.Wme.timetag;
     Hashtbl.remove t.creators w.Wme.timetag;
+    index_remove t w;
     (* A wme added and removed within the same buffered cycle must not
        reach the engines at all: concurrent processing of its Add and
-       Delete would be order-dependent. Cancel the pending Add instead. *)
-    if List.exists (fun (f, x) -> f = Task.Add && Wme.equal x w) t.pending then
-      t.pending <-
-        List.filter (fun (f, x) -> not (f = Task.Add && Wme.equal x w)) t.pending
+       Delete would be order-dependent. Cancel the pending Add instead;
+       [take_pending] drops it. *)
+    if w.Wme.timetag >= t.pending_from then t.cancelled <- t.cancelled + 1
     else t.pending <- (Task.Delete, w) :: t.pending
   end
+
+(* The buffered changes, oldest first; a cancelled Add is one whose wme
+   has left working memory. *)
+let take_pending t =
+  let changes = List.rev t.pending in
+  let changes =
+    if t.cancelled = 0 then changes
+    else List.filter (fun (f, w) -> f = Task.Delete || Wm.mem t.wm w) changes
+  in
+  t.pending <- [];
+  t.pending_from <- Wm.last_timetag t.wm + 1;
+  t.cancelled <- 0;
+  changes
+
+let has_pending t = List.compare_length_with t.pending t.cancelled > 0
 
 let new_id t prefix =
   let s = Sym.fresh prefix in
@@ -197,44 +285,33 @@ let add_triple t ~cls ~id ~attr ~value =
 
 (* --- queries ------------------------------------------------------------ *)
 
-let goal_sym = lazy (Sym.intern goal_cls)
-
-let slot t ~goal ~role =
-  let role_v = Value.sym role in
-  let found = ref None in
-  Wm.iter
-    (fun w ->
-      if
-        Sym.equal w.Wme.cls (Lazy.force goal_sym)
-        && Value.equal w.Wme.fields.(0) (Value.Sym goal)
-        && Value.equal w.Wme.fields.(1) role_v
-      then found := Some w.Wme.fields.(2))
-    t.wm;
-  !found
-
+(* The slot's most recently added wme, when more than one fills it. *)
 let slot_wme t ~goal ~role =
-  let role_v = Value.sym role in
-  let found = ref None in
-  Wm.iter
-    (fun w ->
-      if
-        Sym.equal w.Wme.cls (Lazy.force goal_sym)
-        && Value.equal w.Wme.fields.(0) (Value.Sym goal)
-        && Value.equal w.Wme.fields.(1) role_v
-      then found := Some w)
-    t.wm;
-  !found
+  match Slot_key.find_opt t.slots (goal, role) with
+  | None -> None
+  | Some present ->
+    Hashtbl.fold
+      (fun _ w latest ->
+        match latest with
+        | Some l when l.Wme.timetag > w.Wme.timetag -> latest
+        | _ -> Some w)
+      present None
 
-let prefs_for t ~goal ~role =
-  let out = ref [] in
-  Wm.iter
-    (fun w ->
-      match Prefs.decode w with
-      | Some (g, r, vote) when Sym.equal g goal && Sym.equal r (Sym.intern role) ->
-        out := (vote, w) :: !out
-      | _ -> ())
-    t.wm;
-  List.rev !out
+let slot_value t ~goal ~role =
+  match slot_wme t ~goal ~role with Some w -> Some w.Wme.fields.(2) | None -> None
+
+(* In no particular order: [Prefs.decide] does not depend on it. *)
+let prefs_of t ~goal ~role =
+  match Slot_key.find_opt t.prefs (goal, role) with
+  | None -> []
+  | Some present ->
+    Hashtbl.fold
+      (fun _ w acc ->
+        match Prefs.decode w with Some (_, _, vote) -> (vote, w) :: acc | None -> acc)
+      present []
+
+let slot t ~goal ~role = slot_value t ~goal ~role:(Sym.intern role)
+let prefs_for t ~goal ~role = prefs_of t ~goal ~role:(Sym.intern role)
 
 (* --- construction -------------------------------------------------------- *)
 
@@ -256,11 +333,16 @@ let create ?(config = default_config) schema productions =
       net;
       eng;
       wm = Wm.create ();
+      slots = Slot_key.create 64;
+      prefs = Slot_key.create 64;
+      rhs = Hashtbl.create 64;
       goals = [];
       id_level = Hashtbl.create 256;
       wme_level = Hashtbl.create 1024;
       creators = Hashtbl.create 1024;
       pending = [];
+      pending_from = 1;
+      cancelled = 0;
       pending_results = [];
       chunk_forms = Hashtbl.create 64;
       chunk_count = 0;
@@ -292,45 +374,76 @@ let instantiation_level t (inst : Conflict_set.inst) =
     (fun acc w -> max acc (wme_level t w))
     1 (Token.wmes inst.Conflict_set.token)
 
-let fire_instantiation_unmetered t (inst : Conflict_set.inst) =
-  let pm =
-    match Network.find_production t.net inst.Conflict_set.prod with
-    | Some pm -> pm
+let compile_rhs t name =
+  let prod =
+    match Network.find_production t.net name with
+    | Some pm -> pm.Network.meta_production
     | None -> invalid_arg "instantiation of unknown production"
   in
-  let prod = pm.Network.meta_production in
-  let bindings = Network.bindings_of t.net inst.Conflict_set.prod inst.Conflict_set.token in
-  let level = instantiation_level t inst in
-  let creator =
-    {
-      Chunker.c_conds = Array.to_list (Token.wmes inst.Conflict_set.token);
-      c_level = level;
-    }
-  in
-  let gensyms = Hashtbl.create 4 in
-  let resolve = function
-    | Action.Tconst v -> v
+  let positions = Network.binding_positions t.net name in
+  let prefixes = ref [] in
+  let term = function
+    | Action.Tconst v -> Rconst v
     | Action.Tvar v -> (
-      match List.assoc_opt v bindings with
-      | Some value -> value
+      match List.assoc_opt v positions with
+      | Some (slot, fld) -> Rfield (slot, fld)
       | None -> invalid_arg (Printf.sprintf "unbound RHS variable <%s>" v))
     | Action.Tgensym p -> (
       (* one fresh symbol per (prefix, firing) so several assignments in
          one action can share an id *)
-      match Hashtbl.find_opt gensyms p with
-      | Some s -> Value.Sym s
+      match List.assoc_opt p !prefixes with
+      | Some i -> Rgensym i
       | None ->
-        let s = Sym.fresh p in
+        let i = List.length !prefixes in
+        prefixes := (p, i) :: !prefixes;
+        Rgensym i)
+  in
+  let action = function
+    | Action.Make (cls, assigns) ->
+      Rmake
+        ( cls,
+          Schema.arity t.schema cls,
+          Array.of_list (List.map (fun (f, tm) -> (f, term tm)) assigns) )
+    | Action.Write terms -> Rwrite (List.map term terms)
+    | Action.Halt -> Rhalt
+    | Action.Remove _ | Action.Modify _ ->
+      invalid_arg
+        (Printf.sprintf "production %s: Soar productions only add wmes"
+           (Sym.name prod.Production.name))
+  in
+  let actions = List.map action prod.Production.rhs in
+  { actions; gensym_prefixes = Array.of_list (List.rev_map fst !prefixes) }
+
+let rhs_of t name =
+  match Hashtbl.find_opt t.rhs name with
+  | Some rhs -> rhs
+  | None ->
+    let rhs = compile_rhs t name in
+    Hashtbl.replace t.rhs name rhs;
+    rhs
+
+let fire_instantiation_unmetered t (inst : Conflict_set.inst) =
+  let rhs = rhs_of t inst.Conflict_set.prod in
+  let token = inst.Conflict_set.token in
+  let level = instantiation_level t inst in
+  let creator = { Chunker.c_conds = Array.to_list (Token.wmes token); c_level = level } in
+  let gensyms = Array.make (Array.length rhs.gensym_prefixes) Value.nil in
+  let resolve = function
+    | Rconst v -> v
+    | Rfield (slot, fld) -> Token.field token ~slot ~fld
+    | Rgensym i ->
+      if Value.is_nil gensyms.(i) then begin
+        let s = Sym.fresh rhs.gensym_prefixes.(i) in
         register_id t s level;
-        Hashtbl.replace gensyms p s;
-        Value.Sym s)
+        gensyms.(i) <- Value.Sym s
+      end;
+      gensyms.(i)
   in
   List.iter
-    (fun action ->
-      match action with
-      | Action.Make (cls, assigns) -> (
-        let fields = Array.make (Schema.arity t.schema cls) Value.nil in
-        List.iter (fun (f, term) -> fields.(f) <- resolve term) assigns;
+    (function
+      | Rmake (cls, arity, assigns) -> (
+        let fields = Array.make arity Value.nil in
+        Array.iter (fun (f, term) -> fields.(f) <- resolve term) assigns;
         match internal_add t ~cls ~fields ~level ~creator:(Some creator) with
         | Some (w, wlvl) ->
           if wlvl < level then
@@ -338,7 +451,7 @@ let fire_instantiation_unmetered t (inst : Conflict_set.inst) =
               { pr_wme = w; pr_creator = creator; pr_target_level = wlvl }
               :: t.pending_results
         | None -> ())
-      | Action.Write terms ->
+      | Rwrite terms ->
         let render v =
           match v with Value.Str s -> s | _ -> Value.to_string v
         in
@@ -347,12 +460,8 @@ let fire_instantiation_unmetered t (inst : Conflict_set.inst) =
         in
         t.output_rev <- line :: t.output_rev;
         if t.cfg.trace then Log.app (fun m -> m "write: %s" line)
-      | Action.Halt -> t.halted <- true
-      | Action.Remove _ | Action.Modify _ ->
-        invalid_arg
-          (Printf.sprintf "production %s: Soar productions only add wmes"
-             (Sym.name prod.Production.name)))
-    prod.Production.rhs
+      | Rhalt -> t.halted <- true)
+    rhs.actions
 
 (* RHS firing is the telemetry "act" phase. *)
 let fire_instantiation t inst =
@@ -452,11 +561,6 @@ let build_pending_chunks t =
     Psme_obs.Telemetry.Chunk_splice (fun () -> build_pending_chunks_unmetered t)
 
 (* --- elaboration ----------------------------------------------------------- *)
-
-let take_pending t =
-  let changes = List.rev t.pending in
-  t.pending <- [];
-  changes
 
 let elaboration_phase t =
   let cycles = ref 0 in
@@ -560,41 +664,68 @@ let destroy_goals_below t depth =
     let victims = ref [] in
     Wm.iter (fun w -> if wme_level t w > depth then victims := w :: !victims) t.wm;
     List.iter (internal_remove t) !victims;
-    Hashtbl.iter
-      (fun id l -> if l > depth then Hashtbl.remove t.id_level id)
-      (Hashtbl.copy t.id_level)
+    Hashtbl.filter_map_inplace (fun _ l -> if l > depth then None else Some l) t.id_level
   end
 
+(* Remove [g]'s slots from [role_idx] on, each followed by the
+   preferences it consumed. The engines see those deletions in
+   working-memory ([Wm.iter]) order, so when there are two or more this
+   takes one pass over working memory that stops at the last of them. *)
 let clear_slot_and_deeper_roles t g role_idx =
-  List.iteri
-    (fun i role ->
-      if i >= role_idx then begin
-        (match slot_wme t ~goal:g.gid ~role with
-        | Some w -> internal_remove t w
-        | None -> ());
-        (* consume the slot's preferences *)
-        List.iter (fun (_, w) -> internal_remove t w) (prefs_for t ~goal:g.gid ~role)
-      end)
-    roles
+  let cleared = List.filteri (fun i _ -> i >= role_idx) (Lazy.force roles) in
+  let consumed =
+    List.concat_map (fun role -> List.map snd (prefs_of t ~goal:g.gid ~role)) cleared
+  in
+  let consumed =
+    match consumed with
+    | [] | [ _ ] -> consumed
+    | _ ->
+      let pref = Lazy.force pref_sym and goal = Value.Sym g.gid in
+      let left = ref (List.length consumed) and ordered = ref [] in
+      (try
+         Wm.iter
+           (fun w ->
+             if
+               Sym.equal w.Wme.cls pref
+               && Value.equal w.Wme.fields.(0) goal
+               && List.memq w consumed
+             then begin
+               ordered := w :: !ordered;
+               decr left;
+               if !left = 0 then raise Exit
+             end)
+           t.wm
+       with Exit -> ());
+      List.rev !ordered
+  in
+  List.iter
+    (fun role ->
+      (match slot_wme t ~goal:g.gid ~role with
+      | Some w -> internal_remove t w
+      | None -> ());
+      List.iter
+        (fun w -> if Value.equal w.Wme.fields.(1) (Value.Sym role) then internal_remove t w)
+        consumed)
+    cleared
 
 let install_slot t g role_idx value =
   clear_slot_and_deeper_roles t g role_idx;
   destroy_goals_below t g.depth;
-  let role = List.nth roles role_idx in
+  let role = List.nth (Lazy.force roles) role_idx in
   ignore
     (internal_add t ~cls:(Lazy.force goal_sym)
-       ~fields:[| Value.Sym g.gid; Value.sym role; value |]
+       ~fields:[| Value.Sym g.gid; Value.Sym role; value |]
        ~level:g.depth ~creator:None);
   if t.cfg.trace then
     Log.app (fun m ->
-        m "decide: %s %s <- %s" (Sym.name g.gid) role (Value.to_string value))
+        m "decide: %s %s <- %s" (Sym.name g.gid) (Sym.name role) (Value.to_string value))
 
 let create_subgoal t g role items item_pref_wmes =
   destroy_goals_below t g.depth;
   let g2 = Sym.fresh "g" in
   let depth = g.depth + 1 in
   register_id t g2 depth;
-  t.goals <- t.goals @ [ { gid = g2; depth; why = Some { i_super = g.gid; i_role = Sym.intern role; i_items = items } } ];
+  t.goals <- t.goals @ [ { gid = g2; depth; why = Some { i_super = g.gid; i_role = role; i_items = items } } ];
   let arch attr v creator =
     ignore
       (internal_add t ~cls:(Lazy.force goal_sym)
@@ -603,7 +734,7 @@ let create_subgoal t g role items item_pref_wmes =
   in
   arch "object" (Value.Sym g.gid) None;
   arch "impasse" (Value.sym "tie") None;
-  arch "role" (Value.sym role) None;
+  arch "role" (Value.Sym role) None;
   List.iter
     (fun item ->
       (* an ^item wme is derived from the item's acceptable preference,
@@ -622,7 +753,7 @@ let create_subgoal t g role items item_pref_wmes =
     items;
   if t.cfg.trace then
     Log.app (fun m ->
-        m "impasse: tie on %s of %s -> subgoal %s (%d items)" role (Sym.name g.gid)
+        m "impasse: tie on %s of %s -> subgoal %s (%d items)" (Sym.name role) (Sym.name g.gid)
           (Sym.name g2) (List.length items))
 
 let rejected_in votes v =
@@ -637,8 +768,8 @@ let decision_phase_unmetered t =
        (fun g ->
          List.iteri
            (fun role_idx role ->
-             let votes = prefs_for t ~goal:g.gid ~role in
-             let current = slot t ~goal:g.gid ~role in
+             let votes = prefs_of t ~goal:g.gid ~role in
+             let current = slot_value t ~goal:g.gid ~role in
              match Prefs.decide (List.map fst votes), current with
              | Prefs.Winner v, Some cur when Value.equal v cur -> ()
              | Prefs.Winner v, _ ->
@@ -664,7 +795,7 @@ let decision_phase_unmetered t =
                      match sub.why with
                      | Some w ->
                        Sym.equal w.i_super g.gid
-                       && Sym.equal w.i_role (Sym.intern role)
+                       && Sym.equal w.i_role role
                        && List.length w.i_items = List.length items
                        && List.for_all2 Value.equal w.i_items items
                      | None -> false)
@@ -676,7 +807,7 @@ let decision_phase_unmetered t =
                  create_subgoal t g role items votes;
                  outcome := Impassed;
                  raise Exit))
-           roles)
+           (Lazy.force roles))
        t.goals
    with Exit -> ());
   !outcome
@@ -717,7 +848,7 @@ let run t =
       | Nothing ->
         (* with an input function attached, quiescence without a decision
            just means we are waiting for the world: keep cycling *)
-        if t.pending = [] && t.input_fn = None then begin
+        if (not (has_pending t)) && t.input_fn = None then begin
           stalled := true;
           continue_ := false
         end

@@ -120,4 +120,14 @@ val flush_match : t -> unit
     before diffing network memories against working memory. *)
 
 val slot : t -> goal:Sym.t -> role:string -> Value.t option
-(** Current context-slot value, if decided. *)
+(** Current context-slot value, if decided: field 2 of the [goal] wme
+    [(goal ^role value)]. The decision procedure keeps one such wme per
+    slot; if something else adds a second (a production or
+    {!add_triple} making a [goal] wme with a role attribute), the most
+    recently added one (highest timetag) is the slot's value. One hash
+    probe: goal wmes are indexed by (goal, role). *)
+
+val prefs_for : t -> goal:Sym.t -> role:string -> (Prefs.vote * Wme.t) list
+(** The well-formed preferences for one slot, in no particular order
+    (the decision does not depend on it). One hash probe: preferences
+    are indexed by (goal, role). *)

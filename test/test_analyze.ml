@@ -378,7 +378,9 @@ let bindings_snapshot net =
            (* binding-list order follows first occurrence under the build's
               placement; only the variable->value map is order-invariant *)
            List.sort compare
-             (Network.bindings_of net i.Conflict_set.prod i.Conflict_set.token) ))
+             (List.map
+                (fun (v, (slot, fld)) -> (v, Token.field i.Conflict_set.token ~slot ~fld))
+                (Network.binding_positions net i.Conflict_set.prod)) ))
   |> List.sort compare
 
 let test_reorder_differential () =

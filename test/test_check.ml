@@ -201,6 +201,21 @@ let test_update_fully_shared_chunk () =
   let r = Verify.full net (Wm.to_list wm) in
   Alcotest.(check int) "verifier silent" 0 (Finding.errors r)
 
+(* io-stream feeds input wmes every decision; [soar_cli check --workload
+   all] does not run it, so its end state is verified here. *)
+let test_io_stream_state_clean () =
+  let config =
+    { Psme_soar.Agent.default_config with Psme_soar.Agent.engine_mode = Engine.Serial_mode }
+  in
+  let agent = Psme_workloads.Io_stream.make_agent ~config () in
+  ignore (Psme_soar.Agent.run agent);
+  Psme_soar.Agent.flush_match agent;
+  let r =
+    Verify.full (Psme_soar.Agent.network agent) (Wm.to_list (Psme_soar.Agent.wm agent))
+  in
+  Alcotest.(check int) "no errors" 0 (Finding.errors r);
+  Alcotest.(check int) "no warnings" 0 (Finding.warnings r)
+
 (* --- state verifier as a property (satellite: random chunk batches) ---------- *)
 
 (* realize a Test_props history against a Wm, so live wmes and the
@@ -497,6 +512,7 @@ let suite =
     Alcotest.test_case "verify: state clean" `Quick test_state_clean;
     Alcotest.test_case "verify: state clean after update" `Quick
       test_state_clean_after_update;
+    Alcotest.test_case "verify: io-stream state clean" `Quick test_io_stream_state_clean;
     Alcotest.test_case "verify: unfiltered update detected" `Quick
       test_state_detects_unfiltered_update;
     Alcotest.test_case "update: seed filter threshold" `Quick

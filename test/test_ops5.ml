@@ -227,6 +227,18 @@ let test_parse_remove_modify () =
       f
   | _ -> Alcotest.fail "expected [Remove 1; Modify (1, [on])]"
 
+(* The class after [modify]'s index must be that CE's class: the
+   attributes are resolved through it. *)
+let test_parse_modify_wrong_class () =
+  let s = Fixtures.schema_with () in
+  match
+    Parser.parse_production s
+      "(p wrong-class (block ^name b1) --> (modify 1 hand ^state busy))"
+  with
+  | _ -> Alcotest.fail "modify naming another class than CE 1's parsed"
+  | exception Parser.Parse_error (msg, _) ->
+    Alcotest.(check string) "message" "modify 1 names class hand, but CE 1 is a block" msg
+
 let test_positive_ce_indexing () =
   let s = Fixtures.schema_with () in
   let p = Parser.parse_production s Fixtures.graspable_src in
@@ -279,6 +291,7 @@ let suite =
     Alcotest.test_case "parse sp single negation" `Quick test_parse_sp_single_negation;
     Alcotest.test_case "production validation" `Quick test_production_validation;
     Alcotest.test_case "parse remove/modify" `Quick test_parse_remove_modify;
+    Alcotest.test_case "parse modify of another CE's class" `Quick test_parse_modify_wrong_class;
     Alcotest.test_case "positive CE indexing" `Quick test_positive_ce_indexing;
     Alcotest.test_case "relation evaluation" `Quick test_cond_eval_relation;
     Alcotest.test_case "nested NCC CE count" `Quick test_count_ces_nested;

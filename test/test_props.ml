@@ -513,6 +513,123 @@ let prop_excise_then_rebuild =
           count (Fixtures.cs_fingerprint net) = count before
         | exception _ -> true))
 
+(* --- working-memory indexes ------------------------------------------ *)
+
+(* Random add/remove histories over three contents, so equal contents
+   are often present several times: after every step the contents index
+   answers what a linear scan of the live wmes does. An op is
+   [(true, c)] add contents [c], or [(false, k)] remove the [k]-th live
+   wme (mod the live count). *)
+let prop_wm_contents_index =
+  let contents c = [| Value.Int c; Value.sym "x" |] in
+  let cls = Sym.intern "wm-prop" in
+  QCheck.Test.make ~count:200 ~name:"wm contents index = linear scan"
+    QCheck.(list_of_size Gen.(int_range 1 60) (pair bool (int_bound 8)))
+    (fun ops ->
+      let wm = Wm.create () in
+      let live = ref [] (* newest first *) and gone = ref [] in
+      let agrees () =
+        let latest c =
+          List.find_opt (fun w -> Value.equal w.Wme.fields.(0) (Value.Int c)) !live
+        in
+        Wm.size wm = List.length !live
+        && List.for_all (Wm.mem wm) !live
+        && (not (List.exists (Wm.mem wm) !gone))
+        && List.for_all
+             (fun c ->
+               let found = Wm.find_same_contents wm ~cls ~fields:(contents c) in
+               Option.map (fun w -> w.Wme.timetag) found
+               = Option.map (fun w -> w.Wme.timetag) (latest c))
+             [ 0; 1; 2 ]
+      in
+      List.for_all
+        (fun (add, n) ->
+          (if add then live := Wm.add wm ~cls ~fields:(contents (n mod 3)) :: !live
+           else
+             match !live with
+             | [] -> ()
+             | l ->
+               let victim = List.nth l (n mod List.length l) in
+               Wm.remove wm victim;
+               live := List.filter (fun w -> not (Wme.equal w victim)) l;
+               gone := victim :: !gone);
+          agrees ())
+        ops)
+
+(* At every decision of a serial run, the indexed slot and preference
+   lookups equal a scan of working memory: the slot is its latest goal
+   wme, the preferences compare as a multiset. *)
+let test_agent_slot_index () =
+  let open Psme_soar in
+  let roles = [ "problem-space"; "state"; "operator" ] in
+  let goal_cls = Sym.intern "goal" in
+  let check agent =
+    let wmes = Wm.to_list (Agent.wm agent) (* ascending timetag *) in
+    let goals =
+      List.sort_uniq Sym.compare
+        (List.filter_map
+           (fun w ->
+             match Prefs.decode w with
+             | Some (g, _, _) -> Some g
+             | None -> (
+               match w.Wme.fields with
+               | [| Value.Sym g; _; _ |] when Sym.equal w.Wme.cls goal_cls -> Some g
+               | _ -> None))
+           wmes)
+    in
+    List.iter
+      (fun g ->
+        List.iter
+          (fun role ->
+            let scanned_slot =
+              List.fold_left
+                (fun acc w ->
+                  if
+                    Sym.equal w.Wme.cls goal_cls
+                    && Value.equal w.Wme.fields.(0) (Value.Sym g)
+                    && Value.equal w.Wme.fields.(1) (Value.sym role)
+                  then Some w.Wme.fields.(2)
+                  else acc)
+                None wmes
+            in
+            let scanned_prefs =
+              List.filter_map
+                (fun w ->
+                  match Prefs.decode w with
+                  | Some (g', r, vote) when Sym.equal g' g && Sym.name r = role ->
+                    Some (w.Wme.timetag, vote)
+                  | _ -> None)
+                wmes
+            in
+            let indexed_prefs =
+              List.sort compare
+                (List.map
+                   (fun (vote, w) -> (w.Wme.timetag, vote))
+                   (Agent.prefs_for agent ~goal:g ~role))
+            in
+            let where = Printf.sprintf "%s ^%s" (Sym.name g) role in
+            if Agent.slot agent ~goal:g ~role <> scanned_slot then
+              Alcotest.failf "slot %s differs from a scan" where;
+            if indexed_prefs <> scanned_prefs then
+              Alcotest.failf "preferences for %s differ from a scan" where)
+          roles)
+      goals
+  in
+  let serial = { Agent.default_config with Agent.engine_mode = Engine.Serial_mode } in
+  List.iter
+    (fun (name, agent) ->
+      let decisions = ref 0 in
+      Agent.set_monitor agent (fun _ ->
+          incr decisions;
+          check agent);
+      ignore (Agent.run agent);
+      if !decisions = 0 then Alcotest.failf "%s: no decision checked" name)
+    (List.map
+       (fun (w : Psme_workloads.Workload.t) ->
+         (w.Psme_workloads.Workload.name, w.Psme_workloads.Workload.make ~config:serial ()))
+       Psme_workloads.[ Eight_puzzle.workload; Strips.workload; Cypress.workload ]
+    @ [ ("io-stream", Psme_workloads.Io_stream.make_agent ~config:serial ()) ])
+
 let suite =
   List.map QCheck_alcotest.to_alcotest
     [
@@ -531,4 +648,6 @@ let suite =
       prop_lexer_total;
       prop_single_line_memory_equivalent;
       prop_excise_then_rebuild;
+      prop_wm_contents_index;
     ]
+  @ [ Alcotest.test_case "agent slot and preference index = scan" `Quick test_agent_slot_index ]

@@ -282,6 +282,29 @@ let test_stall_detection () =
   Alcotest.(check bool) "stalled" true summary.Agent.stalled;
   Alcotest.(check bool) "not halted" false summary.Agent.halted
 
+(* Two wmes fill the top goal's operator slot (the decision procedure
+   never does this; add_triple can): the slot reads the most recently
+   added one, whatever the values, before and after a run. *)
+let test_slot_with_two_wmes () =
+  let slot_after first second =
+    let schema = Schema.create () in
+    let agent = Agent.create schema [] in
+    let g = Agent.top_goal agent in
+    List.iter
+      (fun value -> Agent.add_triple agent ~cls:"goal" ~id:g ~attr:"operator" ~value)
+      [ first; second ];
+    let before = Agent.slot agent ~goal:g ~role:"operator" in
+    ignore (Agent.run agent);
+    (before, Agent.slot agent ~goal:g ~role:"operator")
+  in
+  List.iter
+    (fun (first, second) ->
+      let before, after = slot_after first second in
+      let label = Value.to_string first ^ " then " ^ Value.to_string second in
+      Alcotest.(check bool) (label ^ ": latest wme, buffered") true (before = Some second);
+      Alcotest.(check bool) (label ^ ": latest wme, after run") true (after = Some second))
+    [ (v "o1", v "o2"); (v "o2", v "o1") ]
+
 let test_rejects_remove_action () =
   (* The sp form rejects remove/modify at parse time; a p-form production
      parses, and the agent refuses the action when it fires. *)
@@ -388,6 +411,7 @@ let suite =
     Alcotest.test_case "update phase recorded" `Quick test_update_phase_recorded;
     Alcotest.test_case "stall detection" `Quick test_stall_detection;
     Alcotest.test_case "remove action rejected" `Quick test_rejects_remove_action;
+    Alcotest.test_case "slot filled twice reads the latest wme" `Quick test_slot_with_two_wmes;
     Alcotest.test_case "backtrace grounds" `Quick test_backtrace_grounds;
     Alcotest.test_case "chunk build variablizes" `Quick test_chunk_build_variablizes;
     Alcotest.test_case "chunk canonical form" `Quick test_chunk_duplicate_canonical;
